@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
     swept.insert(sc.cell(i).flows[1].algo.name);
   }
   std::vector<std::string> module_names;
-  for (const cc::CongOps* ops : cc::modules()) {
+  for (const tcp::CongOps* ops : cc::modules()) {
     module_names.emplace_back(ops->name);
     if (swept.find(module_names.back()) == swept.end()) {
       std::fprintf(stderr,

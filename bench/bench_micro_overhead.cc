@@ -51,7 +51,7 @@ void ack_processing_loop(benchmark::State& state, MakeSender make) {
 
 void BM_RenoAckProcessing(benchmark::State& state) {
   ack_processing_loop(state, [](const tcp::TcpConfig& cfg) {
-    return std::make_unique<tcp::RenoSender>(cfg);
+    return cc::make_sender("reno", cfg);
   });
 }
 BENCHMARK(BM_RenoAckProcessing);

@@ -1,47 +1,56 @@
-// Extending the library: a custom congestion-control engine in ~40
-// lines.  The TcpSender base class (which IS Reno) exposes the same
-// virtual joints the built-in Vegas/Tahoe/DUAL/CARD/Tri-S engines use —
-// here we build "FixedWindow", a CC-less TCP that always keeps a
-// constant window, and race it against Reno on the shared bottleneck.
+// Extending the library: a custom congestion-control module in ~30
+// lines.  An algorithm is a static CongOps table (tcp/cong_ops.h) whose
+// hooks replace Reno's decisions in the one sender engine — the same
+// extension point the built-in Vegas/Tahoe/DUAL/CARD/Tri-S modules use.
+// Here we build "FixedWindow", a CC-less TCP that always keeps a
+// constant window, register it, and race it against Reno on the shared
+// bottleneck.
 //
 //   ./custom_cc [window_segments=8]
 #include <cstdio>
 #include <cstdlib>
 
+#include "cc/registry.h"
 #include "exp/world.h"
-#include "tcp/sender.h"
 #include "traffic/bulk.h"
 
 using namespace vegas;
 
 namespace {
 
-/// TCP with a fixed congestion window: no slow start, no reaction to
-/// loss beyond retransmission.  (This is what TCP looked like before
-/// Jacobson '88 — instructive to race against real congestion control.)
-class FixedWindowSender : public tcp::TcpSender {
- public:
-  FixedWindowSender(const tcp::TcpConfig& cfg, int segments)
-      : TcpSender(cfg), window_(segments * cfg.mss) {}
+/// TCP with a fixed congestion window of initial_cwnd_segments: no slow
+/// start, no reaction to loss beyond retransmission.  (This is what TCP
+/// looked like before Jacobson '88 — instructive to race against real
+/// congestion control.)
+ByteCount fixed_window(const tcp::TcpSender& s) {
+  return s.config().initial_cwnd_segments * s.mss();
+}
 
-  std::string name() const override { return "FixedWindow"; }
+void fixed_on_ack(tcp::TcpSender& s, ByteCount) { s.set_cwnd(fixed_window(s)); }
 
- protected:
-  void cc_on_new_ack(ByteCount) override { set_cwnd(window_); }
-  void cc_on_dup_ack(int dup_count) override {
-    if (dup_count == config().dup_ack_threshold) {
-      retransmit_front(tcp::RetransmitTrigger::kThreeDupAcks);
-      ++stats_.fast_retransmits;
-    }
-    set_cwnd(window_);
+void fixed_on_dup_ack(tcp::TcpSender& s, int dup_count) {
+  if (dup_count == s.config().dup_ack_threshold) {
+    s.retransmit_front(tcp::RetransmitTrigger::kThreeDupAcks);
+    ++s.stats_.fast_retransmits;
   }
-  void cc_on_coarse_timeout() override { set_cwnd(window_); }
+  s.set_cwnd(fixed_window(s));
+}
 
- private:
-  ByteCount window_;
+void fixed_on_loss(tcp::TcpSender& s) { s.set_cwnd(fixed_window(s)); }
+
+const tcp::CongOps kFixedWindowOps = {
+    .name = "fixed-window",
+    .label = "FixedWindow",
+    .on_ack = fixed_on_ack,
+    .on_dup_ack = fixed_on_dup_ack,
+    .on_loss = fixed_on_loss,
 };
 
 }  // namespace
+
+namespace vegas::cc {
+CC_REGISTER_MODULE(fixed_window, kFixedWindowOps)
+}  // namespace vegas::cc
 
 int main(int argc, char** argv) {
   const int segments = argc > 1 ? std::atoi(argv[1]) : 8;
@@ -54,14 +63,16 @@ int main(int argc, char** argv) {
   traffic::BulkTransfer::Config fixed;
   fixed.bytes = 1_MB;
   fixed.port = 5001;
-  fixed.factory = [segments](const tcp::TcpConfig& cfg) {
-    return std::make_unique<FixedWindowSender>(cfg, segments);
+  fixed.factory = [segments](tcp::TcpConfig cfg) {
+    cfg.initial_cwnd_segments = segments;
+    return cc::make_sender("fixed-window", cfg);
   };
   traffic::BulkTransfer t_fixed(world.left(0), world.right(0), fixed);
 
   traffic::BulkTransfer::Config reno;
   reno.bytes = 1_MB;
   reno.port = 5002;
+  reno.factory = cc::make_factory("reno");
   traffic::BulkTransfer t_reno(world.left(1), world.right(1), reno);
 
   world.sim().run_until(sim::Time::seconds(600));

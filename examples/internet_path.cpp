@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   } else if (algo_name == "vegas") {
     p.algo = exp::AlgoSpec::vegas(1, 3);
   } else {
-    const cc::CongOps* ops = cc::find(algo_name);
+    const tcp::CongOps* ops = cc::find(algo_name);
     if (ops == nullptr) {
       std::fprintf(stderr, "unknown algorithm '%s'; did you mean '%s'?\n",
                    algo_name.c_str(), cc::closest(algo_name).c_str());

@@ -1,7 +1,7 @@
 // Module diagnostics: typed windows into per-module private state, for
 // tests, the invariant checker and the ablation benches.  Implemented in
 // the owning module's TU (the priv layout is module-private); each probe
-// returns nullopt unless `sender` is a CcSender running that module.
+// returns nullopt unless `sender` runs that module's CongOps table.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 // negative or zero → grow by one MSS.  The window oscillates around the
 // socially-optimal point by construction.  Reno slow start bootstraps the
 // connection; CARD replaces the congestion-avoidance phase.
-#include "cc/cc_sender.h"
 #include "cc/registry.h"
 #include "cc/rtt_probe.h"
 
@@ -22,7 +21,7 @@ struct CardPriv {
   bool have_prev = false;
 };
 
-void card_on_ack(CcSender& s, ByteCount newly_acked) {
+void card_on_ack(tcp::TcpSender& s, ByteCount newly_acked) {
   if (s.in_recovery() || s.in_slow_start()) {
     s.reno_on_ack(newly_acked);
     return;
@@ -30,7 +29,8 @@ void card_on_ack(CcSender& s, ByteCount newly_acked) {
   // Linear mode: window moves only at epoch boundaries (see below).
 }
 
-void card_on_rtt_sample(CcSender& s, tcp::StreamOffset ack, bool duplicate) {
+void card_on_rtt_sample(tcp::TcpSender& s, tcp::StreamOffset ack,
+                        bool duplicate) {
   if (duplicate || ack <= s.snd_una()) return;
   CardPriv& p = s.priv<CardPriv>();
   if (const auto rtt = covered_rtt_sample(s.records(), ack, s.now())) {
@@ -55,13 +55,13 @@ void card_on_rtt_sample(CcSender& s, tcp::StreamOffset ack, bool duplicate) {
   p.have_prev = true;
 }
 
-const CongOps kCardOps = {
+const tcp::CongOps kCardOps = {
     .name = "card",
     .label = "CARD",
     .priv_size = sizeof(CardPriv),
     .priv_align = alignof(CardPriv),
-    .init = priv_init<CardPriv>,
-    .release = priv_release<CardPriv>,
+    .init = tcp::priv_init<CardPriv>,
+    .release = tcp::priv_release<CardPriv>,
     .on_ack = card_on_ack,
     .on_rtt_sample = card_on_rtt_sample,
 };

@@ -10,7 +10,7 @@
 // the RFC's values.  Time comes from the simulator clock, so runs stay
 // deterministic.
 //
-// The loss response is the ssthresh-hook contract (cong_ops.h): Reno's
+// The loss response is the ssthresh-hook contract (tcp/cong_ops.h): Reno's
 // dup-ACK/RTO machinery runs verbatim with β·W as the target, and the
 // per-ACK growth toward W(t) happens in on_ack via a fractional-segment
 // accumulator (no per-ACK floating windows leak into cwnd — cwnd moves
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cc/cc_sender.h"
 #include "cc/registry.h"
 
 namespace vegas::cc {
@@ -36,7 +35,7 @@ struct CubicPriv {
   double incr_accum = 0.0;  // fractional segments earned toward +1 MSS
 };
 
-void cubic_on_ack(CcSender& s, ByteCount newly_acked) {
+void cubic_on_ack(tcp::TcpSender& s, ByteCount newly_acked) {
   if (s.in_recovery() || s.in_slow_start()) {
     s.reno_on_ack(newly_acked);  // standard deflation / slow start
     return;
@@ -70,7 +69,7 @@ void cubic_on_ack(CcSender& s, ByteCount newly_acked) {
   }
 }
 
-ByteCount cubic_ssthresh(CcSender& s) {
+ByteCount cubic_ssthresh(tcp::TcpSender& s) {
   CubicPriv& p = s.priv<CubicPriv>();
   const double seg = static_cast<double>(s.mss());
   const double cwnd_seg =
@@ -83,13 +82,13 @@ ByteCount cubic_ssthresh(CcSender& s) {
   return static_cast<ByteCount>(target * seg);
 }
 
-const CongOps kCubicOps = {
+const tcp::CongOps kCubicOps = {
     .name = "cubic",
     .label = "CUBIC",
     .priv_size = sizeof(CubicPriv),
     .priv_align = alignof(CubicPriv),
-    .init = priv_init<CubicPriv>,
-    .release = priv_release<CubicPriv>,
+    .init = tcp::priv_init<CubicPriv>,
+    .release = tcp::priv_release<CubicPriv>,
     .on_ack = cubic_on_ack,
     .ssthresh = cubic_ssthresh,
 };

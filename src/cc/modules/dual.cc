@@ -5,7 +5,6 @@
 // greater than the average of the minimum and maximum RTTs seen so far.
 // If it is, then the algorithm decreases the congestion window by
 // one-eighth."  Implemented as a comparator for the ablation benches.
-#include "cc/cc_sender.h"
 #include "cc/registry.h"
 #include "cc/rtt_probe.h"
 
@@ -21,7 +20,8 @@ struct DualPriv {
   bool seen_any = false;
 };
 
-void dual_on_rtt_sample(CcSender& s, tcp::StreamOffset ack, bool duplicate) {
+void dual_on_rtt_sample(tcp::TcpSender& s, tcp::StreamOffset ack,
+                        bool duplicate) {
   if (duplicate || ack <= s.snd_una()) return;
   DualPriv& p = s.priv<DualPriv>();
   if (const auto rtt = covered_rtt_sample(s.records(), ack, s.now())) {
@@ -39,13 +39,13 @@ void dual_on_rtt_sample(CcSender& s, tcp::StreamOffset ack, bool duplicate) {
   }
 }
 
-const CongOps kDualOps = {
+const tcp::CongOps kDualOps = {
     .name = "dual",
     .label = "DUAL",
     .priv_size = sizeof(DualPriv),
     .priv_align = alignof(DualPriv),
-    .init = priv_init<DualPriv>,
-    .release = priv_release<DualPriv>,
+    .init = tcp::priv_init<DualPriv>,
+    .release = tcp::priv_release<DualPriv>,
     .on_rtt_sample = dual_on_rtt_sample,
 };
 

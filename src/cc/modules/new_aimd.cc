@@ -12,22 +12,21 @@
 // so head-to-head cells against Reno isolate the MD factor.
 //
 // Pure ssthresh-hook module: Reno's dup-ACK and RTO machinery run
-// verbatim with the 5/6 target substituted (see cong_ops.h).
+// verbatim with the 5/6 target substituted (see tcp/cong_ops.h).
 #include <algorithm>
 
-#include "cc/cc_sender.h"
 #include "cc/registry.h"
 
 namespace vegas::cc {
 
 namespace {
 
-ByteCount new_aimd_ssthresh(CcSender& s) {
+ByteCount new_aimd_ssthresh(tcp::TcpSender& s) {
   const ByteCount wnd = std::min(s.cwnd(), s.snd_wnd());
   return std::max<ByteCount>(2 * s.mss(), wnd - wnd / 6);
 }
 
-const CongOps kNewAimdOps = {
+const tcp::CongOps kNewAimdOps = {
     .name = "new-aimd",
     .label = "New-AIMD",
     .alt = "newaimd",

@@ -9,7 +9,6 @@
 // contemporary (Reno) and its successor-generation loss-based rival.
 #include <algorithm>
 
-#include "cc/cc_sender.h"
 #include "cc/diag.h"
 #include "cc/registry.h"
 
@@ -23,7 +22,7 @@ struct NewRenoPriv {
   std::uint64_t partial_rtx = 0;
 };
 
-void newreno_on_dup_ack(CcSender& s, int dup_count) {
+void newreno_on_dup_ack(tcp::TcpSender& s, int dup_count) {
   if (s.in_recovery()) {
     s.set_cwnd(s.cwnd() + s.mss());
     s.sack_retransmit_next_hole(tcp::RetransmitTrigger::kThreeDupAcks);
@@ -48,7 +47,7 @@ void newreno_on_dup_ack(CcSender& s, int dup_count) {
   s.maybe_send();
 }
 
-void newreno_on_ack(CcSender& s, ByteCount newly_acked) {
+void newreno_on_ack(tcp::TcpSender& s, ByteCount newly_acked) {
   if (s.in_recovery()) {
     NewRenoPriv& p = s.priv<NewRenoPriv>();
     if (s.snd_una() < p.recover) {
@@ -67,13 +66,13 @@ void newreno_on_ack(CcSender& s, ByteCount newly_acked) {
   s.reno_on_ack(newly_acked);
 }
 
-const CongOps kNewRenoOps = {
+const tcp::CongOps kNewRenoOps = {
     .name = "newreno",
     .label = "NewReno",
     .priv_size = sizeof(NewRenoPriv),
     .priv_align = alignof(NewRenoPriv),
-    .init = priv_init<NewRenoPriv>,
-    .release = priv_release<NewRenoPriv>,
+    .init = tcp::priv_init<NewRenoPriv>,
+    .release = tcp::priv_release<NewRenoPriv>,
     .on_ack = newreno_on_ack,
     .on_dup_ack = newreno_on_dup_ack,
 };
@@ -84,11 +83,8 @@ CC_REGISTER_MODULE(newreno, kNewRenoOps)
 
 std::optional<std::uint64_t> newreno_partial_retransmits(
     const tcp::TcpSender& sender) {
-  const auto* s = dynamic_cast<const CcSender*>(&sender);
-  if (s == nullptr || s->ops().name != std::string_view("newreno")) {
-    return std::nullopt;
-  }
-  return s->priv<NewRenoPriv>().partial_rtx;
+  if (&sender.ops() != &kNewRenoOps) return std::nullopt;
+  return sender.priv<NewRenoPriv>().partial_rtx;
 }
 
 }  // namespace vegas::cc

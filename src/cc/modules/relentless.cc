@@ -21,7 +21,6 @@
 // relentlessness is only safe while feedback still flows.
 #include <algorithm>
 
-#include "cc/cc_sender.h"
 #include "cc/registry.h"
 
 namespace vegas::cc {
@@ -30,14 +29,14 @@ namespace {
 
 using tcp::RetransmitTrigger;
 
-void relentless_decrease(CcSender& s) {
+void relentless_decrease(tcp::TcpSender& s) {
   s.set_cwnd(std::max<ByteCount>(2 * s.mss(), s.cwnd() - s.mss()));
   // Track ssthresh just below cwnd so the engine stays in congestion
   // avoidance (cwnd < ssthresh would re-enter slow start).
   s.set_ssthresh(s.cwnd());
 }
 
-void relentless_on_dup_ack(CcSender& s, int dup_count) {
+void relentless_on_dup_ack(tcp::TcpSender& s, int dup_count) {
   if (s.in_recovery()) {
     // Each hole named by a further dup ACK costs exactly one segment.
     if (s.sack_retransmit_next_hole(RetransmitTrigger::kThreeDupAcks)) {
@@ -56,7 +55,7 @@ void relentless_on_dup_ack(CcSender& s, int dup_count) {
   s.maybe_send();
 }
 
-void relentless_on_ack(CcSender& s, ByteCount /*newly_acked*/) {
+void relentless_on_ack(tcp::TcpSender& s, ByteCount /*newly_acked*/) {
   if (s.in_recovery()) {
     // Exit without deflation: cwnd already reflects every loss exactly.
     s.exit_recovery();
@@ -72,7 +71,7 @@ void relentless_on_ack(CcSender& s, ByteCount /*newly_acked*/) {
   s.set_cwnd(s.cwnd() + incr);
 }
 
-const CongOps kRelentlessOps = {
+const tcp::CongOps kRelentlessOps = {
     .name = "relentless",
     .label = "Relentless",
     .on_ack = relentless_on_ack,

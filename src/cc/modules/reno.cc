@@ -1,20 +1,11 @@
-// 4.3BSD Reno — the base engine itself (tcp/sender.{h,cc}).  Every hook
-// is null, so dispatch falls through to TcpSender's own joints: this
-// module IS the baseline the others are measured against, and a CcSender
-// running it is bit-identical to a bare TcpSender (digest-test-enforced).
+// 4.3BSD Reno — the engine itself (tcp/sender.{h,cc}).  The registry's
+// `reno` module is tcp::kRenoOps, the all-null table every TcpSender runs
+// by default, so there is exactly one Reno: the baseline the other
+// modules are measured against.
 #include "cc/registry.h"
 
 namespace vegas::cc {
 
-namespace {
-
-const CongOps kRenoOps = {
-    .name = "reno",
-    .label = "Reno",
-};
-
-}  // namespace
-
-CC_REGISTER_MODULE(reno, kRenoOps)
+CC_REGISTER_MODULE(reno, tcp::kRenoOps)
 
 }  // namespace vegas::cc

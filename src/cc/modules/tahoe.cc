@@ -4,14 +4,13 @@
 // Tahoe", §1 fn 1); Tahoe is provided as the second baseline for the
 // ablation benches.  On the third duplicate ACK Tahoe retransmits and
 // falls all the way back to slow start.
-#include "cc/cc_sender.h"
 #include "cc/registry.h"
 
 namespace vegas::cc {
 
 namespace {
 
-void tahoe_on_dup_ack(CcSender& s, int dup_count) {
+void tahoe_on_dup_ack(tcp::TcpSender& s, int dup_count) {
   if (dup_count != s.config().dup_ack_threshold) return;
   s.set_ssthresh(s.half_window());
   s.retransmit_front(tcp::RetransmitTrigger::kThreeDupAcks);
@@ -20,7 +19,7 @@ void tahoe_on_dup_ack(CcSender& s, int dup_count) {
   s.maybe_send();
 }
 
-const CongOps kTahoeOps = {
+const tcp::CongOps kTahoeOps = {
     .name = "tahoe",
     .label = "Tahoe",
     .on_dup_ack = tahoe_on_dup_ack,

@@ -8,7 +8,6 @@
 // Reno slow start bootstraps; Tri-S replaces congestion avoidance.
 #include <algorithm>
 
-#include "cc/cc_sender.h"
 #include "cc/registry.h"
 #include "cc/rtt_probe.h"
 
@@ -25,14 +24,15 @@ struct TrisPriv {
   bool have_prev = false;
 };
 
-void tris_on_ack(CcSender& s, ByteCount newly_acked) {
+void tris_on_ack(tcp::TcpSender& s, ByteCount newly_acked) {
   if (s.in_recovery() || s.in_slow_start()) {
     s.reno_on_ack(newly_acked);
     return;
   }
 }
 
-void tris_on_rtt_sample(CcSender& s, tcp::StreamOffset ack, bool duplicate) {
+void tris_on_rtt_sample(tcp::TcpSender& s, tcp::StreamOffset ack,
+                        bool duplicate) {
   if (duplicate || ack <= s.snd_una()) return;
   TrisPriv& p = s.priv<TrisPriv>();
   if (const auto rtt = covered_rtt_sample(s.records(), ack, s.now())) {
@@ -58,14 +58,14 @@ void tris_on_rtt_sample(CcSender& s, tcp::StreamOffset ack, bool duplicate) {
   p.have_prev = true;
 }
 
-const CongOps kTrisOps = {
+const tcp::CongOps kTrisOps = {
     .name = "tris",
     .label = "Tri-S",
     .alt = "tri-s",
     .priv_size = sizeof(TrisPriv),
     .priv_align = alignof(TrisPriv),
-    .init = priv_init<TrisPriv>,
-    .release = priv_release<TrisPriv>,
+    .init = tcp::priv_init<TrisPriv>,
+    .release = tcp::priv_release<TrisPriv>,
     .on_ack = tris_on_ack,
     .on_rtt_sample = tris_on_rtt_sample,
 };

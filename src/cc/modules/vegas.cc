@@ -33,7 +33,6 @@
 // estimator logic object and the reported aggregate counters.
 #include <algorithm>
 
-#include "cc/cc_sender.h"
 #include "cc/diag.h"
 #include "cc/registry.h"
 #include "tcp/rtt.h"
@@ -57,12 +56,12 @@ struct VegasPriv {
   std::uint64_t cam_sample_count = 0;
 };
 
-void vegas_init(CcSender& s) {
+void vegas_init(tcp::TcpSender& s) {
   VegasPriv& p = s.emplace_priv<VegasPriv>(s.config().min_fine_rto);
   p.fine_rtt.rebind(&s.hot().fine_rtt);
 }
 
-void vegas_feed_fine_rtt(CcSender& s, StreamOffset ack) {
+void vegas_feed_fine_rtt(tcp::TcpSender& s, StreamOffset ack) {
   // Per-segment timestamps (§3.1): find the latest record fully covered
   // by this ACK whose transmission was unambiguous (Karn's rule).
   const tcp::TcpSender::SegRecord* best = nullptr;
@@ -84,7 +83,7 @@ void vegas_feed_fine_rtt(CcSender& s, StreamOffset ack) {
   }
 }
 
-void vegas_complete_cam_sample(CcSender& s, StreamOffset ack) {
+void vegas_complete_cam_sample(tcp::TcpSender& s, StreamOffset ack) {
   FlowHot& h = s.hot();
   if (!h.cam_active || ack < h.cam_end) return;
   h.cam_active = false;
@@ -148,7 +147,7 @@ void vegas_complete_cam_sample(CcSender& s, StreamOffset ack) {
   }
 }
 
-void vegas_on_rtt_sample(CcSender& s, StreamOffset ack, bool duplicate) {
+void vegas_on_rtt_sample(tcp::TcpSender& s, StreamOffset ack, bool duplicate) {
   if (!duplicate && ack > s.snd_una()) {
     FlowHot& h = s.hot();
     // Packet-pair probe: consecutive ACKs of a back-to-back pair arrive
@@ -176,7 +175,7 @@ void vegas_on_rtt_sample(CcSender& s, StreamOffset ack, bool duplicate) {
 /// Retransmits the front segment; applies the once-per-episode window
 /// decrease rule.  `lost_sent_at` is when the presumed-lost transmission
 /// went out (read before the retransmission overwrites it).
-void vegas_retransmit(CcSender& s, sim::Time lost_sent_at,
+void vegas_retransmit(tcp::TcpSender& s, sim::Time lost_sent_at,
                       RetransmitTrigger trigger) {
   s.retransmit_front(trigger);
   FlowHot& h = s.hot();
@@ -198,7 +197,7 @@ void vegas_retransmit(CcSender& s, sim::Time lost_sent_at,
   h.post_rtx_ack_checks = 2;  // §3.1: check the next two fresh ACKs
 }
 
-void vegas_on_dup_ack(CcSender& s, int dup_count) {
+void vegas_on_dup_ack(tcp::TcpSender& s, int dup_count) {
   if (s.in_recovery()) {
     s.set_cwnd(s.cwnd() + s.mss());
     // SACK tandem (§6): each further dup ACK names the next hole.
@@ -223,7 +222,7 @@ void vegas_on_dup_ack(CcSender& s, int dup_count) {
   }
 }
 
-void vegas_on_ack(CcSender& s, ByteCount /*newly_acked*/) {
+void vegas_on_ack(tcp::TcpSender& s, ByteCount /*newly_acked*/) {
   if (s.in_recovery()) {
     // Reno-style deflation on the recovery-ending ACK.
     s.set_cwnd(s.ssthresh());
@@ -252,7 +251,7 @@ void vegas_on_ack(CcSender& s, ByteCount /*newly_acked*/) {
   }
 }
 
-void vegas_on_loss(CcSender& s) {
+void vegas_on_loss(tcp::TcpSender& s) {
   s.reno_on_loss();
   FlowHot& h = s.hot();
   h.cam_active = false;
@@ -262,12 +261,11 @@ void vegas_on_loss(CcSender& s) {
   ++s.priv<VegasPriv>().decrease_count;
 }
 
-void vegas_cwnd_event(CcSender& s, const CwndEvent& ev) {
-  if (ev.kind == CwndEvent::Kind::kRowRebound) {
+void vegas_cwnd_event(tcp::TcpSender& s, const tcp::CwndEvent& ev) {
+  if (ev.kind == tcp::CwndEvent::Kind::kRowRebound) {
     s.priv<VegasPriv>().fine_rtt.rebind(&s.hot().fine_rtt);
     return;
   }
-  if (ev.kind != CwndEvent::Kind::kSegmentSent) return;
   FlowHot& h = s.hot();
   // Arm one CAM measurement per RTT: distinguish the first fresh segment
   // sent after the previous sample completed (§3.2: "recording the
@@ -288,8 +286,8 @@ void vegas_cwnd_event(CcSender& s, const CwndEvent& ev) {
   }
 }
 
-PacingHint vegas_pacing(const CcSender& s) {
-  PacingHint hint;
+tcp::PacingHint vegas_pacing(const tcp::TcpSender& s) {
+  tcp::PacingHint hint;
   // Two segments back-to-back keep packet-pair probing alive under pacing.
   hint.burst = 2;
   // Rate-paced slow start (§3.3 future work, optional): send at
@@ -304,13 +302,13 @@ PacingHint vegas_pacing(const CcSender& s) {
   return hint;
 }
 
-const CongOps kVegasOps = {
+const tcp::CongOps kVegasOps = {
     .name = "vegas",
     .label = "Vegas",
     .priv_size = sizeof(VegasPriv),
     .priv_align = alignof(VegasPriv),
     .init = vegas_init,
-    .release = priv_release<VegasPriv>,
+    .release = tcp::priv_release<VegasPriv>,
     .on_ack = vegas_on_ack,
     .on_dup_ack = vegas_on_dup_ack,
     .on_loss = vegas_on_loss,
@@ -324,18 +322,15 @@ const CongOps kVegasOps = {
 CC_REGISTER_MODULE(vegas, kVegasOps)
 
 std::optional<VegasDiag> vegas_diag(const tcp::TcpSender& sender) {
-  const auto* s = dynamic_cast<const CcSender*>(&sender);
-  if (s == nullptr || s->ops().name != std::string_view("vegas")) {
-    return std::nullopt;
-  }
-  const VegasPriv& p = s->priv<VegasPriv>();
+  if (&sender.ops() != &kVegasOps) return std::nullopt;
+  const VegasPriv& p = sender.priv<VegasPriv>();
   VegasDiag d;
-  d.base_rtt = s->hot().base_rtt;
-  d.has_base_rtt = s->hot().has_base_rtt;
+  d.base_rtt = sender.hot().base_rtt;
+  d.has_base_rtt = sender.hot().has_base_rtt;
   d.fine_rto = p.fine_rtt.rto();
   d.cam_samples = p.cam_sample_count;
   d.window_decreases = p.decrease_count;
-  d.bandwidth_estimate_Bps = s->hot().bw_est_Bps;
+  d.bandwidth_estimate_Bps = sender.hot().bw_est_Bps;
   return d;
 }
 

@@ -21,7 +21,6 @@
 // loss response that make YeAH a Vegas descendant.
 #include <algorithm>
 
-#include "cc/cc_sender.h"
 #include "cc/registry.h"
 #include "cc/rtt_probe.h"
 
@@ -40,7 +39,8 @@ struct YeahPriv {
   double queue_seg = 0.0;  // last backlog estimate, read by the loss hook
 };
 
-void yeah_on_rtt_sample(CcSender& s, tcp::StreamOffset ack, bool duplicate) {
+void yeah_on_rtt_sample(tcp::TcpSender& s, tcp::StreamOffset ack,
+                        bool duplicate) {
   if (duplicate || ack <= s.snd_una()) return;
   YeahPriv& p = s.priv<YeahPriv>();
   if (const auto rtt = covered_rtt_sample(s.records(), ack, s.now())) {
@@ -76,7 +76,7 @@ void yeah_on_rtt_sample(CcSender& s, tcp::StreamOffset ack, bool duplicate) {
   }
 }
 
-ByteCount yeah_ssthresh(CcSender& s) {
+ByteCount yeah_ssthresh(tcp::TcpSender& s) {
   const YeahPriv& p = s.priv<YeahPriv>();
   const ByteCount wnd = std::min(s.cwnd(), s.snd_wnd());
   // Delay-informed decrease: give up the measured backlog, but at least
@@ -87,13 +87,13 @@ ByteCount yeah_ssthresh(CcSender& s) {
   return std::max<ByteCount>(2 * s.mss(), wnd - cut);
 }
 
-const CongOps kYeahOps = {
+const tcp::CongOps kYeahOps = {
     .name = "yeah",
     .label = "YeAH",
     .priv_size = sizeof(YeahPriv),
     .priv_align = alignof(YeahPriv),
-    .init = priv_init<YeahPriv>,
-    .release = priv_release<YeahPriv>,
+    .init = tcp::priv_init<YeahPriv>,
+    .release = tcp::priv_release<YeahPriv>,
     .on_rtt_sample = yeah_on_rtt_sample,
     .ssthresh = yeah_ssthresh,
 };

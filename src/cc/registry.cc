@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cctype>
 
-#include "cc/cc_sender.h"
 #include "common/ensure.h"
 
 namespace vegas::cc {
+
+using tcp::CongOps;
 
 // Anchors defined by CC_REGISTER_MODULE in each builtin module TU; the
 // calls below force the archive linker to pull those TUs in.
@@ -132,7 +133,7 @@ tcp::SenderFactory make_factory(std::string_view name) {
   const CongOps* ops = find(name);
   vegas::ensure(ops != nullptr, "unknown congestion-control module");
   return [ops](const tcp::TcpConfig& cfg) {
-    return std::make_unique<CcSender>(*ops, cfg);
+    return std::make_unique<tcp::TcpSender>(cfg, *ops);
   };
 }
 
@@ -140,7 +141,7 @@ std::unique_ptr<tcp::TcpSender> make_sender(std::string_view name,
                                             const tcp::TcpConfig& cfg) {
   const CongOps* ops = find(name);
   vegas::ensure(ops != nullptr, "unknown congestion-control module");
-  return std::make_unique<CcSender>(*ops, cfg);
+  return std::make_unique<tcp::TcpSender>(cfg, *ops);
 }
 
 }  // namespace vegas::cc

@@ -1,4 +1,4 @@
-// Self-registering module registry: name → CongOps.
+// Self-registering module registry: name → CongOps (tcp/cong_ops.h).
 //
 // A module .cc file defines its static CongOps table and registers it at
 // static-initialization time with CC_REGISTER_MODULE.  Lookup is
@@ -17,7 +17,7 @@
 #include <string_view>
 #include <vector>
 
-#include "cc/cong_ops.h"
+#include "tcp/cong_ops.h"
 #include "tcp/stack.h"
 
 namespace vegas::cc {
@@ -25,13 +25,13 @@ namespace vegas::cc {
 /// Registers `ops` (must have static storage duration).  ensure()-fails
 /// on a duplicate or empty name — registration is a programming error
 /// surface, not user input.
-void register_ops(const CongOps& ops);
+void register_ops(const tcp::CongOps& ops);
 
 /// Case-insensitive lookup over name/alt/label; nullptr if unknown.
-const CongOps* find(std::string_view name);
+const tcp::CongOps* find(std::string_view name);
 
 /// All registered modules, sorted by canonical name.
-std::vector<const CongOps*> modules();
+std::vector<const tcp::CongOps*> modules();
 
 /// Canonical name of the registered module closest to `name` by edit
 /// distance (did-you-mean); empty only if the registry is empty.
@@ -47,7 +47,7 @@ std::unique_ptr<tcp::TcpSender> make_sender(std::string_view name,
 
 namespace detail {
 struct Registrar {
-  explicit Registrar(const CongOps& ops) { register_ops(ops); }
+  explicit Registrar(const tcp::CongOps& ops) { register_ops(ops); }
 };
 }  // namespace detail
 

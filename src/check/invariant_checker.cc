@@ -88,7 +88,7 @@ void InvariantChecker::resolve_pending() {
   } else if (decrease_floor_ <= opt_.min_cwnd) {
     // Collapse to one segment with no accompanying fast retransmission:
     // the coarse-timeout signature.  It counts as this window's decrease
-    // (Vegas' cc_on_coarse_timeout records it the same way).
+    // (Vegas' on_loss hook records it the same way).
     have_loss_decrease_ = true;
     last_loss_decrease_t_ = decrease_t_;
   }

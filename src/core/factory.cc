@@ -39,7 +39,7 @@ std::string to_string(Algorithm algo) {
 }
 
 std::optional<Algorithm> parse_algorithm(std::string_view name) {
-  const cc::CongOps* ops = cc::find(name);
+  const tcp::CongOps* ops = cc::find(name);
   if (ops == nullptr) return std::nullopt;
   const std::string_view key = ops->name;
   if (key == "reno") return Algorithm::kReno;

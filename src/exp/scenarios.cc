@@ -32,7 +32,7 @@ std::string AlgoSpec::label() const {
     return "Vegas-" + std::to_string(static_cast<int>(alpha)) + "," +
            std::to_string(static_cast<int>(beta));
   }
-  const cc::CongOps* ops = cc::find(name);
+  const tcp::CongOps* ops = cc::find(name);
   return ops != nullptr ? ops->label : name;
 }
 

@@ -137,14 +137,14 @@ class Reader {
 exp::AlgoSpec read_algo(Reader& r) {
   exp::AlgoSpec spec;
   const std::string proto = r.string("protocol", "reno");
-  const cc::CongOps* ops = cc::find(proto);  // case-insensitive
+  const tcp::CongOps* ops = cc::find(proto);  // case-insensitive
   if (ops == nullptr) {
     const Value* v = r.raw("protocol");
     std::string message = "unknown protocol '" + proto + "'";
     const std::string hint = cc::closest(proto);
     if (!hint.empty()) message += "; did you mean '" + hint + "'?";
     message += " (known:";
-    for (const cc::CongOps* m : cc::modules()) {
+    for (const tcp::CongOps* m : cc::modules()) {
       message += std::string(" ") + m->name;
     }
     message += ")";

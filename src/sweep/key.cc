@@ -12,7 +12,7 @@ namespace vegas::sweep {
 std::string cc_fingerprint() {
   common::Hash128 h;
   h.mix("cc-registry");
-  for (const cc::CongOps* m : cc::modules()) {
+  for (const tcp::CongOps* m : cc::modules()) {
     h.mix(m->name);
     h.mix(m->label != nullptr ? m->label : "");
     h.mix(m->alt != nullptr ? m->alt : "");

@@ -4,6 +4,7 @@
 
 #include "common/ensure.h"
 #include "common/log.h"
+#include "tcp/cong_ops.h"
 
 namespace vegas::tcp {
 namespace {
@@ -11,8 +12,14 @@ constexpr ByteCount kHugeWindow = ByteCount{1} << 30;
 constexpr int kPersistIntervalTicks = 4;  // probe every 2 s of zero window
 }  // namespace
 
-TcpSender::TcpSender(const TcpConfig& cfg)
+const CongOps kRenoOps = {
+    .name = "reno",
+    .label = "Reno",
+};
+
+TcpSender::TcpSender(const TcpConfig& cfg, const CongOps& ops)
     : cfg_(cfg),
+      ops_(&ops),
       buf_(cfg.send_buffer),
       own_hot_(std::make_unique<FlowHot>()),
       hot_(own_hot_.get()),
@@ -20,6 +27,23 @@ TcpSender::TcpSender(const TcpConfig& cfg)
   rtt_.rebind(&hot_->coarse_rtt);
   hot_->ssthresh = kHugeWindow;
   hot_->cwnd = cfg_.mss * cfg_.initial_cwnd_segments;
+  ensure(ops_->priv_align <= alignof(std::max_align_t),
+         "CongOps priv_align exceeds fundamental alignment");
+  if (ops_->priv_size > 0) {
+    priv_ = std::make_unique<std::byte[]>(ops_->priv_size);
+  }
+  if (ops_->init != nullptr) ops_->init(*this);
+}
+
+TcpSender::~TcpSender() {
+  if (ops_->release != nullptr) ops_->release(*this);
+}
+
+std::string TcpSender::name() const { return ops_->label; }
+
+void TcpSender::check_priv_fits(std::size_t size, std::size_t align) const {
+  ensure(size <= ops_->priv_size && align <= ops_->priv_align,
+         "CongOps priv_size/priv_align too small for module state");
 }
 
 void TcpSender::bind_flow_row(FlowHot* row) {
@@ -28,9 +52,11 @@ void TcpSender::bind_flow_row(FlowHot* row) {
   *row = *hot_;
   hot_ = row;
   rtt_.rebind(&row->coarse_rtt);
-  // Subclasses rebind their own estimators off the old row before it is
+  // Modules rebind their own estimators off the old row before it is
   // released (rebind() reads through the estimator's current pointer).
-  on_flow_row_rebound();
+  if (ops_->cwnd_event != nullptr) {
+    ops_->cwnd_event(*this, {.kind = CwndEvent::Kind::kRowRebound});
+  }
   own_hot_.reset();
 }
 
@@ -47,7 +73,6 @@ void TcpSender::open(ByteCount initial_peer_window) {
   ensure(env_.sim != nullptr, "sender not attached");
   open_ = true;
   hot_->snd_wnd = initial_peer_window;
-  last_activity_ = now();
   notify_windows();
   maybe_send();
 }
@@ -149,11 +174,14 @@ void TcpSender::maybe_send() {
     if (h.snd_nxt > h.snd_max) h.snd_max = h.snd_nxt;
 
     // Paced mode: a small burst per interval, the rest ride the timer.
-    const sim::Time pace = pacing_interval();
-    if (pace > sim::Time::zero() && ++sent_this_call >= pacing_burst()) {
-      pace_pending_ = true;
-      pace_timer_->restart(pace);
-      break;
+    if (ops_->pacing != nullptr) {
+      const PacingHint pace = ops_->pacing(*this);
+      if (pace.interval > sim::Time::zero() &&
+          ++sent_this_call >= pace.burst) {
+        pace_pending_ = true;
+        pace_timer_->restart(pace.interval);
+        break;
+      }
     }
   }
 }
@@ -196,8 +224,11 @@ void TcpSender::transmit_segment(StreamOffset seq, ByteCount len, bool fin,
     hot_->rtt_seq = seq + std::max<ByteCount>(len - 1, 0);
   }
   if (hot_->rexmt_ticks == 0) arm_rexmt();
-  last_activity_ = now();
-  on_segment_transmitted(*rec, retransmit);
+  if (ops_->cwnd_event != nullptr) {
+    ops_->cwnd_event(*this, {.kind = CwndEvent::Kind::kSegmentSent,
+                             .rec = rec,
+                             .retransmit = retransmit});
+  }
   notify_windows();
 }
 
@@ -224,7 +255,9 @@ void TcpSender::on_ack(StreamOffset ack, ByteCount peer_wnd,
   const bool outstanding = h.snd_nxt > h.snd_una;
   const bool duplicate = segment_payload == 0 && ack == h.snd_una &&
                          peer_wnd == h.snd_wnd && outstanding;
-  on_ack_preprocess(ack, duplicate);
+  if (ops_->on_rtt_sample != nullptr) {
+    ops_->on_rtt_sample(*this, ack, duplicate);
+  }
 
   if (duplicate) {
     ++stats_.dup_acks_received;
@@ -232,7 +265,11 @@ void TcpSender::on_ack(StreamOffset ack, ByteCount peer_wnd,
     if (env_.observer != nullptr) {
       env_.observer->on_ack_received(now(), ack, peer_wnd, true);
     }
-    cc_on_dup_ack(h.dup_acks);
+    if (ops_->on_dup_ack != nullptr) {
+      ops_->on_dup_ack(*this, h.dup_acks);
+    } else {
+      reno_on_dup_ack(h.dup_acks);
+    }
     return;
   }
 
@@ -264,7 +301,6 @@ void TcpSender::handle_new_ack(StreamOffset ack) {
     const int ticks = std::max(1, static_cast<int>(h.rtt_elapsed_ticks));
     rtt_.sample(ticks);
     ++stats_.rtt_samples;
-    on_rtt_sample_ticks(ticks);
   }
   h.backoff_shift = 0;
 
@@ -309,12 +345,16 @@ void TcpSender::handle_new_ack(StreamOffset ack) {
     arm_rexmt();
   }
 
-  cc_on_new_ack(newly);
+  if (ops_->on_ack != nullptr) {
+    ops_->on_ack(*this, newly);
+  } else {
+    reno_on_ack(newly);
+  }
   maybe_send();
   if (env_.on_send_space && buf_.space() > space_before) env_.on_send_space();
 }
 
-void TcpSender::cc_on_new_ack(ByteCount /*newly_acked*/) {
+void TcpSender::reno_on_ack(ByteCount /*newly_acked*/) {
   FlowHot& h = *hot_;
   if (h.in_recovery) {
     // Reno deflation: recovery ends on the first fresh ACK.
@@ -332,7 +372,7 @@ void TcpSender::cc_on_new_ack(ByteCount /*newly_acked*/) {
   }
 }
 
-void TcpSender::cc_on_dup_ack(int dup_count) {
+void TcpSender::reno_on_dup_ack(int dup_count) {
   FlowHot& h = *hot_;
   if (h.in_recovery) {
     // Window inflation: each dup ACK signals a departure from the pipe.
@@ -343,7 +383,7 @@ void TcpSender::cc_on_dup_ack(int dup_count) {
     return;
   }
   if (dup_count == cfg_.dup_ack_threshold) {
-    set_ssthresh(half_window());
+    set_ssthresh(loss_target());
     h.rtt_timing = false;  // Karn: the timed segment is being retransmitted
     retransmit_front(RetransmitTrigger::kThreeDupAcks);
     ++stats_.fast_retransmits;
@@ -497,7 +537,11 @@ void TcpSender::coarse_timeout() {
   h.in_recovery = false;
   sacked_.clear();  // RFC 2018: don't trust the scoreboard across an RTO
 
-  cc_on_coarse_timeout();
+  if (ops_->on_loss != nullptr) {
+    ops_->on_loss(*this);
+  } else {
+    reno_on_loss();
+  }
 
   // Go-back-N: everything past snd_una is presumed lost.
   h.snd_nxt = h.snd_una;
@@ -507,9 +551,13 @@ void TcpSender::coarse_timeout() {
   maybe_send();
 }
 
-void TcpSender::cc_on_coarse_timeout() {
-  set_ssthresh(half_window());
+void TcpSender::reno_on_loss() {
+  set_ssthresh(loss_target());
   set_cwnd(cfg_.mss);
+}
+
+ByteCount TcpSender::loss_target() {
+  return ops_->ssthresh != nullptr ? ops_->ssthresh(*this) : half_window();
 }
 
 }  // namespace vegas::tcp

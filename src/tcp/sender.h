@@ -4,9 +4,11 @@
 // 500 ms coarse-grained retransmission timer with Karn's rule and
 // exponential backoff, fast retransmit on 3 duplicate ACKs, and Reno fast
 // recovery with window inflation.  The historical lineage of the paper —
-// "our implementation of Vegas was derived by modifying Reno" (§2) —
-// is mirrored in code: subclasses (Tahoe, Vegas, DUAL, CARD, Tri-S)
-// override the protected virtual joints.
+// "our implementation of Vegas was derived by modifying Reno" (§2) — is
+// mirrored in code: every other algorithm (Tahoe, Vegas, DUAL, CARD,
+// Tri-S, ...) is a CongOps table (tcp/cong_ops.h) whose hooks replace
+// Reno's decisions at fixed call sites of this one engine; a null hook
+// keeps Reno's.  The class is final and has no virtual functions.
 //
 // The sender works in 64-bit stream offsets (see tcp/seq.h); the owning
 // Connection translates to/from 32-bit wire sequence numbers.
@@ -17,6 +19,7 @@
 // slab via bind_flow_row() so 10k+ concurrent flows stay cache-dense.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -25,6 +28,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "common/types.h"
 #include "sim/simulator.h"
@@ -36,6 +40,11 @@
 #include "tcp/rtt.h"
 
 namespace vegas::tcp {
+
+struct CongOps;  // tcp/cong_ops.h
+
+/// The all-null CongOps table: Reno, the engine's own behaviour.
+extern const CongOps kRenoOps;
 
 /// Aggregate counters the experiments report (Tables 1-5 columns).
 struct SenderStats {
@@ -52,7 +61,7 @@ struct SenderStats {
   std::uint64_t retransmits_avoided = 0;  // skipped: target already SACKed
 };
 
-class TcpSender {
+class TcpSender final {
  public:
   /// Services the owning Connection provides to the sender.  Bound once
   /// at connection setup to `[this]`-captures; SmallFn is void() only,
@@ -77,8 +86,10 @@ class TcpSender {
     std::function<void()> wake_ticks;  // lint: std-function-ok
   };
 
-  explicit TcpSender(const TcpConfig& cfg);
-  virtual ~TcpSender() = default;
+  /// Runs the congestion control of `ops`, which must outlive the sender
+  /// (registry tables are static).
+  explicit TcpSender(const TcpConfig& cfg, const CongOps& ops = kRenoOps);
+  ~TcpSender();
   TcpSender(const TcpSender&) = delete;
   TcpSender& operator=(const TcpSender&) = delete;
 
@@ -90,8 +101,9 @@ class TcpSender {
   /// `row` must outlive the sender.
   void bind_flow_row(FlowHot* row);
 
-  /// Human-readable algorithm name ("Reno", "Vegas", ...).
-  virtual std::string name() const { return "Reno"; }
+  /// Human-readable algorithm name ("Reno", "Vegas", ...): ops().label.
+  std::string name() const;
+  const CongOps& ops() const { return *ops_; }
 
   // --- interface used by the Connection ---------------------------------
 
@@ -171,47 +183,8 @@ class TcpSender {
     int transmissions = 1;
   };
 
- protected:
-  // --- virtual joints (Reno defaults; subclasses modify) -----------------
+  // --- services for CongOps hooks ---------------------------------------
 
-  /// Congestion-window growth on a fresh cumulative ACK.
-  virtual void cc_on_new_ack(ByteCount newly_acked);
-
-  /// A duplicate ACK arrived (count includes this one).
-  virtual void cc_on_dup_ack(int dup_count);
-
-  /// The coarse retransmission timer fired.
-  virtual void cc_on_coarse_timeout();
-
-  /// Called for every arriving ACK before standard processing — Vegas
-  /// hangs its fine-grained checks and CAM here.  `ack` may duplicate.
-  virtual void on_ack_preprocess(StreamOffset /*ack*/, bool /*duplicate*/) {}
-
-  /// Called after a segment is (re)transmitted.
-  virtual void on_segment_transmitted(const SegRecord& /*rec*/,
-                                      bool /*retransmit*/) {}
-
-  /// Fresh RTT measurement hooks.  Coarse samples (ticks) drive the Reno
-  /// estimator; subclasses may also keep fine estimates via records.
-  virtual void on_rtt_sample_ticks(int /*ticks*/) {}
-
-  /// The hot row moved (bind_flow_row); subclasses holding estimators or
-  /// pointers into the row re-anchor them here.
-  virtual void on_flow_row_rebound() {}
-
-  /// Transmission pacing: when nonzero, maybe_send() emits at most
-  /// pacing_burst() segments per interval instead of bursting the whole
-  /// window.  Vegas' paced slow start (§3.3's proposed future work)
-  /// returns BaseRTT * burst * MSS / cwnd here.
-  virtual sim::Time pacing_interval() const { return sim::Time::zero(); }
-
-  /// Segments allowed back-to-back per pacing interval (>= 1).  Two keeps
-  /// packet-pair bandwidth probing alive under pacing.
-  virtual int pacing_burst() const { return 1; }
-
-  // --- services available to subclasses ----------------------------------
-
-  sim::Simulator& sim() { return *env_.sim; }
   ConnectionObserver* observer() { return env_.observer; }
   sim::Time now() const { return env_.sim->now(); }
 
@@ -258,17 +231,53 @@ class TcpSender {
   void exit_recovery() { hot_->in_recovery = false; }
   bool in_recovery() const { return hot_->in_recovery; }
 
-  /// Karn's rule helper for subclasses that retransmit the timed segment.
+  /// Karn's rule helper for hooks that retransmit the timed segment.
   void cancel_rtt_timing() { hot_->rtt_timing = false; }
 
-  void notify_windows();
+  /// Reno's own decisions, for hooks that extend rather than replace them
+  /// (e.g. NewReno's full-ACK growth, Vegas' coarse-timeout path).
+  void reno_on_ack(ByteCount newly_acked);
+  void reno_on_loss();
+
+  // --- private-state slab (CongOps::priv_size) ---------------------------
+
+  /// Constructs the module's state in the slab (call from `init`).
+  template <typename T, typename... Args>
+  T& emplace_priv(Args&&... args) {
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    check_priv_fits(sizeof(T), alignof(T));
+    return *std::construct_at(reinterpret_cast<T*>(priv_.get()),
+                              std::forward<Args>(args)...);
+  }
+
+  template <typename T>
+  T& priv() {
+    return *std::launder(reinterpret_cast<T*>(priv_.get()));
+  }
+  template <typename T>
+  const T& priv() const {
+    return *std::launder(reinterpret_cast<const T*>(priv_.get()));
+  }
+
+  /// Destroys the module's state (call from `release`).
+  template <typename T>
+  void destroy_priv() {
+    std::destroy_at(std::launder(reinterpret_cast<T*>(priv_.get())));
+  }
 
   SenderStats stats_;
-  TcpConfig cfg_;
 
  private:
   void transmit_segment(StreamOffset seq, ByteCount len, bool fin,
                         bool retransmit);
+  /// Reno's duplicate-ACK response (fast retransmit, fast recovery).
+  void reno_on_dup_ack(int dup_count);
+  /// The window target of a loss response: the module's ssthresh hook if
+  /// it has one, else half_window().
+  ByteCount loss_target();
+  /// ensure()s the module's priv_size/priv_align fit a T of this shape.
+  void check_priv_fits(std::size_t size, std::size_t align) const;
+  void notify_windows();
   /// Resumes the Connection's paused tick clock (no-op while ticking).
   void wake_ticks() {
     if (env_.wake_ticks) env_.wake_ticks();
@@ -282,6 +291,9 @@ class TcpSender {
   void disarm_rexmt() { hot_->rexmt_ticks = 0; }
   void coarse_timeout();
 
+  TcpConfig cfg_;
+  const CongOps* ops_;
+  std::unique_ptr<std::byte[]> priv_;  // module state, ops_->priv_size bytes
   Env env_;
   SendBuffer buf_;
 
@@ -302,20 +314,17 @@ class TcpSender {
   // Estimator logic (state lives in hot_->coarse_rtt after rebind).
   CoarseRttEstimator rtt_;
 
-  // Pacing (see pacing_interval()): while armed, maybe_send defers.
-  std::optional<sim::Timer> pace_timer_;
-  bool pace_pending_ = false;
-
   // FIN handling: the FIN occupies one unit past stream_end.
   bool fin_pending_ = false;
   bool fin_sent_ = false;
   bool fin_acked_ = false;
 
   bool open_ = false;
-  sim::Time last_activity_;
-};
 
-/// Reno is the base engine itself.
-using RenoSender = TcpSender;
+  // Pacing (CongOps::pacing): while armed, maybe_send defers.  Last, so
+  // the flags above fill the padding before its 16-byte alignment.
+  bool pace_pending_ = false;
+  std::optional<sim::Timer> pace_timer_;
+};
 
 }  // namespace vegas::tcp

@@ -9,7 +9,7 @@
 namespace vegas::tcp {
 
 SenderFactory reno_factory() {
-  return [](const TcpConfig& cfg) { return std::make_unique<RenoSender>(cfg); };
+  return [](const TcpConfig& cfg) { return std::make_unique<TcpSender>(cfg); };
 }
 
 Stack::Stack(sim::Simulator& sim, net::Host& host, TcpConfig defaults,

@@ -6,10 +6,11 @@
 #include <algorithm>
 #include <cctype>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 
-#include "cc/cc_sender.h"
+#include "cc/diag.h"
 #include "cc/registry.h"
 #include "check/determinism.h"
 #include "core/factory.h"
@@ -22,6 +23,7 @@ namespace vegas::cc {
 namespace {
 
 using namespace sim::literals;
+using tcp::CongOps;
 
 // ------------------------------------------------------------ round-trip
 
@@ -73,22 +75,51 @@ TEST(CcRegistryTest, DuplicateRegistrationDies) {
   EXPECT_DEATH(register_ops(anon), "name");
 }
 
-TEST(CcRegistryTest, MakeSenderProducesCcSenderRunningTheModule) {
+TEST(CcRegistryTest, MakeSenderRunsTheModule) {
   tcp::TcpConfig cfg;
   for (const char* name : {"reno", "vegas", "cubic"}) {
     auto snd = make_sender(name, cfg);
     ASSERT_NE(snd, nullptr);
-    auto* cc_snd = dynamic_cast<CcSender*>(snd.get());
-    ASSERT_NE(cc_snd, nullptr) << name;
-    EXPECT_EQ(std::string_view(cc_snd->ops().name), name);
-    EXPECT_EQ(snd->name(), cc_snd->ops().label);
+    EXPECT_EQ(&snd->ops(), find(name)) << name;
+    EXPECT_EQ(snd->name(), snd->ops().label);
   }
+}
+
+TEST(CcRegistryTest, DefaultSenderRunsTheRegistryReno) {
+  // One Reno: the engine's default table is the registry's `reno` module.
+  const tcp::TcpSender snd(tcp::TcpConfig{});
+  EXPECT_EQ(&snd.ops(), find("reno"));
+  EXPECT_EQ(&snd.ops(), &tcp::kRenoOps);
+  EXPECT_EQ(snd.name(), "Reno");
+  auto via_factory = make_factory("reno")(tcp::TcpConfig{});
+  EXPECT_EQ(&via_factory->ops(), &snd.ops());
+}
+
+TEST(CcRegistryTest, DiagnosticsAnswerOnlyForTheirOwnModule) {
+  const tcp::TcpConfig cfg;
+  for (const CongOps* m : modules()) {
+    const tcp::TcpSender snd(cfg, *m);
+    const std::string_view name = m->name;
+    EXPECT_EQ(vegas_diag(snd).has_value(), name == "vegas") << name;
+    EXPECT_EQ(newreno_partial_retransmits(snd).has_value(), name == "newreno")
+        << name;
+  }
+  const tcp::TcpSender reno(cfg);
+  EXPECT_FALSE(vegas_diag(reno).has_value());
+  EXPECT_FALSE(newreno_partial_retransmits(reno).has_value());
+  EXPECT_EQ(newreno_partial_retransmits(*make_sender("newreno", cfg))
+                .value_or(~0ull),
+            0u);
+  const std::optional<VegasDiag> d = vegas_diag(*make_sender("vegas", cfg));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_FALSE(d->has_base_rtt);
+  EXPECT_EQ(d->cam_samples, 0u);
 }
 
 TEST(CcRegistryTest, CoreFactoryShimForwardsToRegistry) {
   tcp::TcpConfig cfg;
   auto snd = core::make_sender_factory(core::Algorithm::kVegas)(cfg);
-  EXPECT_NE(dynamic_cast<CcSender*>(snd.get()), nullptr);
+  EXPECT_EQ(&snd->ops(), find("vegas"));
   // parse_algorithm only maps the paper-era seven onto the legacy enum;
   // modern modules are registry-only.
   EXPECT_FALSE(core::parse_algorithm("cubic").has_value());
@@ -117,6 +148,13 @@ struct Pin {
   int scenario;
   std::uint64_t digest;
 };
+
+// gtest names each case by printing its parameter; without this it dumps
+// the raw bytes, which start with the address of `name` and so move
+// whenever anything in the binary is relinked.
+void PrintTo(const Pin& pin, std::ostream* os) {
+  *os << pin.name << " scenario " << pin.scenario;
+}
 
 constexpr Pin kPins[] = {
     {"reno", 0, 0xd788cc3e2220ce57ULL}, {"reno", 1, 0xfdb453d5a4dc33b2ULL},

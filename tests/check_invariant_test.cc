@@ -172,7 +172,7 @@ bool run_checked_solo(const exp::AlgoSpec& spec, InvariantChecker& ch) {
   bt.port = 5001;
   const tcp::SenderFactory inner = spec.factory();
   bt.factory = [&ch, inner](const tcp::TcpConfig& cfg) {
-    auto sender = inner ? inner(cfg) : std::make_unique<tcp::TcpSender>(cfg);
+    auto sender = inner(cfg);
     ch.attach_sender(sender.get());
     return sender;
   };

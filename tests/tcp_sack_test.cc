@@ -2,6 +2,7 @@
 // hole-directed recovery, and end-to-end behaviour under loss.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -69,7 +70,7 @@ class SackHarness {
  public:
   SackHarness() {
     cfg_.sack_enabled = true;
-    snd = std::make_unique<RenoSender>(cfg_);
+    snd = std::make_unique<TcpSender>(cfg_);
     TcpSender::Env env;
     env.sim = &sim;
     env.transmit = [this](StreamOffset seq, ByteCount len, bool) {
@@ -99,7 +100,7 @@ class SackHarness {
 
   sim::Simulator sim;
   TcpConfig cfg_;
-  std::unique_ptr<RenoSender> snd;
+  std::unique_ptr<TcpSender> snd;
   std::vector<std::pair<StreamOffset, ByteCount>> sent;
 };
 
@@ -202,7 +203,7 @@ TEST(SackSenderTest, ScoreboardClearedOnTimeout) {
 
 TEST(SackSenderTest, DisabledByDefaultIgnoresBlocks) {
   TcpConfig cfg;  // sack_enabled = false
-  RenoSender snd(cfg);
+  TcpSender snd(cfg);
   sim::Simulator sim;
   TcpSender::Env env;
   env.sim = &sim;
@@ -217,10 +218,14 @@ TEST(SackSenderTest, DisabledByDefaultIgnoresBlocks) {
 
 // ------------------------------------------------------------- end to end
 
+// No padding bytes: gtest names each case by the raw bytes of its
+// parameter, and padding would put uninitialised memory into the name.
 struct SackE2ECase {
   core::Algorithm algo;
-  bool sack;
+  std::uint32_t sack;  // 0 or 1
 };
+static_assert(sizeof(SackE2ECase) ==
+              sizeof(core::Algorithm) + sizeof(std::uint32_t));
 
 class SackTransferTest : public ::testing::TestWithParam<SackE2ECase> {};
 
@@ -233,7 +238,7 @@ TEST_P(SackTransferTest, ByteExactUnderLoss) {
   world.topo().bottleneck_fwd->set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.05, 73));
   tcp::TcpConfig tcp_cfg;
-  tcp_cfg.sack_enabled = param.sack;
+  tcp_cfg.sack_enabled = param.sack != 0;
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = 300_KB;
   cfg.port = 5001;
@@ -247,10 +252,10 @@ TEST_P(SackTransferTest, ByteExactUnderLoss) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SackTransferTest,
-    ::testing::Values(SackE2ECase{core::Algorithm::kReno, true},
-                      SackE2ECase{core::Algorithm::kReno, false},
-                      SackE2ECase{core::Algorithm::kVegas, true},
-                      SackE2ECase{core::Algorithm::kVegas, false}),
+    ::testing::Values(SackE2ECase{core::Algorithm::kReno, 1},
+                      SackE2ECase{core::Algorithm::kReno, 0},
+                      SackE2ECase{core::Algorithm::kVegas, 1},
+                      SackE2ECase{core::Algorithm::kVegas, 0}),
     [](const auto& info) {
       return core::to_string(info.param.algo) +
              std::string(info.param.sack ? "Sack" : "NoSack");

@@ -25,12 +25,7 @@ class SenderHarness {
  public:
   explicit SenderHarness(TcpConfig cfg = {},
                          bool tahoe = false)
-      : cfg_(cfg) {
-    if (tahoe) {
-      snd = cc::make_sender("tahoe", cfg_);
-    } else {
-      snd = std::make_unique<RenoSender>(cfg_);
-    }
+      : cfg_(cfg), snd(cc::make_sender(tahoe ? "tahoe" : "reno", cfg_)) {
     TcpSender::Env env;
     env.sim = &sim;
     env.transmit = [this](StreamOffset seq, ByteCount len, bool fin) {

@@ -22,7 +22,7 @@
 //   sim             event loop, timers, simulated time   → common, obs
 //   net             links, queues, routers, packets      → sim + below
 //   tcp             transport                            → net + below
-//   cc              CongOps vtable, registry, module zoo → tcp + below
+//   cc              CongOps module zoo and registry      → tcp + below
 //   core            algorithm-name/factory compat shim   → cc + below
 //   trace           trace buffer and analyzers           → tcp + below
 //   traffic         tcplib-style workloads               → tcp + below

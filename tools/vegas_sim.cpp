@@ -144,14 +144,14 @@ FlagSet algos_flags() {
 }
 
 int cmd_algos(const Flags& flags) {
-  const std::vector<const cc::CongOps*> mods = cc::modules();
+  const std::vector<const tcp::CongOps*> mods = cc::modules();
   if (flags.get_bool("json")) {
     json::Writer w;
     w.begin_object();
     w.field("experiment", "algos");
     w.key("modules");
     w.begin_array();
-    for (const cc::CongOps* m : mods) {
+    for (const tcp::CongOps* m : mods) {
       w.begin_object();
       w.field("name", m->name);
       w.field("label", m->label);
@@ -162,7 +162,7 @@ int cmd_algos(const Flags& flags) {
     w.end_object();
     std::printf("%s\n", w.str().c_str());
   } else {
-    for (const cc::CongOps* m : mods) {
+    for (const tcp::CongOps* m : mods) {
       std::printf("%-11s %s%s%s%s\n", m->name, m->label,
                   m->alt != nullptr ? "  (alias: " : "",
                   m->alt != nullptr ? m->alt : "",
@@ -190,7 +190,7 @@ int usage(std::FILE* out, int code) {
 
 exp::AlgoSpec algo_from(const Flags& flags, const char* key = "algo") {
   const std::string name = flags.get_string(key, "vegas");
-  const cc::CongOps* ops = cc::find(name);
+  const tcp::CongOps* ops = cc::find(name);
   if (ops == nullptr) {
     std::fprintf(stderr, "unknown algorithm '%s'; did you mean '%s'? "
                          "('vegas-sim algos' lists all modules)\n",

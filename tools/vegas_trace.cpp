@@ -43,7 +43,7 @@ int cmd_record(const Flags& flags) {
   exp::DumbbellWorld world(topo, tcp::TcpConfig{},
                            static_cast<std::uint64_t>(flags.get_int("seed", 1)));
   const std::string algo_name = flags.get_string("algo", "vegas");
-  const cc::CongOps* ops = cc::find(algo_name);
+  const tcp::CongOps* ops = cc::find(algo_name);
   if (ops == nullptr) {
     std::fprintf(stderr, "unknown algorithm '%s'; did you mean '%s'?\n",
                  algo_name.c_str(), cc::closest(algo_name).c_str());
