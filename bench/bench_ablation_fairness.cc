@@ -11,7 +11,7 @@
 #include "stats/summary.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 namespace {
 

@@ -6,14 +6,14 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "stats/summary.h"
 #include "traffic/bulk.h"
 #include "traffic/source.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 namespace {
 
@@ -52,13 +52,15 @@ Cell run_combo(AlgoSpec small, AlgoSpec large, int seeds) {
     traffic::BulkTransfer::Config lg;
     lg.bytes = 1_MB;
     lg.port = 5001;
-    lg.factory = large.factory();
+    lg.cc = &large.ops();
+    large.apply(lg.tcp.emplace());
     traffic::BulkTransfer t_large(world.left(1), world.right(1), lg);
 
     traffic::BulkTransfer::Config sm;
     sm.bytes = 300_KB;
     sm.port = 5002;
-    sm.factory = small.factory();
+    sm.cc = &small.ops();
+    small.apply(sm.tcp.emplace());
     sm.start_delay = sim::Time::seconds(1.0 + 0.5 * s);
     traffic::BulkTransfer t_small(world.left(2), world.right(2), sm);
 

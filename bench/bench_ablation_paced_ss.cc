@@ -11,7 +11,6 @@
 
 #include "bench/bench_util.h"
 #include "cc/registry.h"
-#include "core/factory.h"
 #include "exp/world.h"
 #include "stats/summary.h"
 #include "traffic/bulk.h"
@@ -36,12 +35,10 @@ Outcome run_solo(std::size_t queue, bool paced, sim::Time delay,
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = 1_MB;
   cfg.port = 5001;
-  cfg.factory = [paced, bw_check](const tcp::TcpConfig& c) {
-    tcp::TcpConfig tuned = c;
-    tuned.vegas_paced_slow_start = paced;
-    tuned.vegas_ss_bandwidth_check = bw_check;
-    return cc::make_sender("vegas", tuned);
-  };
+  cfg.cc = cc::find("vegas");
+  cfg.tcp = tcp::TcpConfig{};
+  cfg.tcp->vegas_paced_slow_start = paced;
+  cfg.tcp->vegas_ss_bandwidth_check = bw_check;
   traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
   world.sim().run_until(sim::Time::seconds(300));
   return {t.throughput_kBps(),

@@ -10,14 +10,14 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "net/topology.h"
 #include "stats/summary.h"
 #include "tcp/stack.h"
 #include "traffic/bulk.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 namespace {
 
@@ -46,7 +46,8 @@ Outcome run_lot(AlgoSpec spec, int segments, std::uint64_t seed) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 2_MB;
   bt.port = 5001;
-  bt.factory = spec.factory();
+  bt.cc = &spec.ops();
+  spec.apply(bt.tcp.emplace());
   traffic::BulkTransfer long_flow(long_src, long_dst, bt);
 
   std::vector<std::unique_ptr<traffic::BulkTransfer>> cross_flows;
@@ -55,7 +56,8 @@ Outcome run_lot(AlgoSpec spec, int segments, std::uint64_t seed) {
     traffic::BulkTransfer::Config xc;
     xc.bytes = 2_MB;
     xc.port = 5001;
-    xc.factory = spec.factory();
+    xc.cc = &spec.ops();
+    spec.apply(xc.tcp.emplace());
     xc.start_delay = sim::Time::seconds(jitter.uniform(0.0, 0.5));
     cross_flows.push_back(std::make_unique<traffic::BulkTransfer>(
         stack_for(*pair.src, "xs"), stack_for(*pair.dst, "xd"), xc));

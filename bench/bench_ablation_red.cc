@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "net/red.h"
 #include "stats/summary.h"
@@ -16,7 +16,7 @@
 #include "traffic/source.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 namespace {
 
@@ -54,7 +54,8 @@ Agg run_cell(AlgoSpec spec, bool red, int seeds) {
         traffic::BulkTransfer::Config cfg;
         cfg.bytes = 1_MB;
         cfg.port = 5001;
-        cfg.factory = spec.factory();
+        cfg.cc = &spec.ops();
+        spec.apply(cfg.tcp.emplace());
         cfg.start_delay = sim::Time::seconds(5);
         traffic::BulkTransfer t(world.left(1), world.right(1), cfg);
         world.sim().run_until(sim::Time::seconds(400));

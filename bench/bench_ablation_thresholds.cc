@@ -10,7 +10,7 @@
 #include "stats/summary.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 namespace {
 

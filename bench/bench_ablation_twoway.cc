@@ -9,7 +9,7 @@
 #include "stats/summary.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 namespace {
 

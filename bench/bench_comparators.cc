@@ -8,7 +8,7 @@
 #include "stats/summary.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 int main() {
   bench::header("Ablation",

@@ -13,12 +13,12 @@
 //       then the min-filter adopts the faster path — Vegas recovers.
 // Reno, being delay-blind, shrugs at both.
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "traffic/bulk.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 namespace {
 
@@ -41,7 +41,8 @@ Outcome run_route_change(AlgoSpec spec, sim::Time d0, sim::Time d1) {
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = 4_MB;
   cfg.port = 5001;
-  cfg.factory = spec.factory();
+  cfg.cc = &spec.ops();
+  spec.apply(cfg.tcp.emplace());
   traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
 
   const sim::Time change_at = sim::Time::seconds(10);

@@ -11,14 +11,14 @@
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "net/loss.h"
 #include "stats/summary.h"
 #include "traffic/bulk.h"
 
 using namespace vegas;
-using exp::AlgoSpec;
+using cc::AlgoSpec;
 
 namespace {
 
@@ -50,7 +50,8 @@ Agg run_cell(AlgoSpec spec, bool sack, int seeds) {
     cfg.bytes = 8_MB;
     cfg.port = 5001;
     cfg.tcp = tcp_cfg;
-    cfg.factory = spec.factory();
+    cfg.cc = &spec.ops();
+    spec.apply(*cfg.tcp);
     traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
     world.sim().run_until(sim::Time::seconds(900));
     if (!t.done()) {

@@ -3,7 +3,7 @@
 // connections is around 25% faster when using Vegas as compared to
 // Reno" — the what-if-the-whole-world-runs-Vegas experiment.
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "stats/histogram.h"
 #include "stats/summary.h"
@@ -18,7 +18,7 @@ struct LatencyResult {
   stats::Histogram histogram{0.0, 2000.0, 10};
 };
 
-LatencyResult telnet_latency_ms(core::Algorithm algo, int seeds) {
+LatencyResult telnet_latency_ms(const char* algo, int seeds) {
   LatencyResult lat;
   for (int s = 0; s < seeds; ++s) {
     net::DumbbellConfig topo;
@@ -28,7 +28,7 @@ LatencyResult telnet_latency_ms(core::Algorithm algo, int seeds) {
     traffic::TrafficConfig tc;
     tc.mean_interarrival_s = 0.8;  // busy mix: telnet competes with FTP
     tc.seed = 1100 + static_cast<std::uint64_t>(s);
-    tc.factory = core::make_sender_factory(algo);
+    tc.cc = cc::find(algo);
     tc.spawn_until = sim::Time::seconds(120);
     traffic::TrafficSource source(world.left(0), world.right(0), tc);
     source.start();
@@ -49,8 +49,8 @@ int main() {
   const int seeds = bench::scaled(4);
   std::printf("%d x 120 s of tcplib conversations per world\n\n", seeds);
 
-  const auto reno = telnet_latency_ms(core::Algorithm::kReno, seeds);
-  const auto vegas = telnet_latency_ms(core::Algorithm::kVegas, seeds);
+  const auto reno = telnet_latency_ms("reno", seeds);
+  const auto vegas = telnet_latency_ms("vegas", seeds);
 
   exp::Table table({"world", "keystroke->echo mean (ms)", "n"}, 26);
   table.add_row({"all Reno", exp::Table::num(reno.stats.mean(), 1),

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "core/factory.h"
 #include "exp/world.h"
 #include "trace/analyzer.h"
 #include "trace/conn_tracer.h"

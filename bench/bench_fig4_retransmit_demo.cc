@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "net/loss.h"
 #include "trace/analyzer.h"
@@ -25,7 +25,7 @@ struct Outcome {
   std::vector<std::pair<double, tcp::RetransmitTrigger>> repairs;
 };
 
-Outcome run_with_double_loss(core::Algorithm algo) {
+Outcome run_with_double_loss(const tcp::CongOps& algo) {
   Outcome out;
   net::DumbbellConfig topo;
   topo.pairs = 1;
@@ -39,7 +39,7 @@ Outcome run_with_double_loss(core::Algorithm algo) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 200_KB;
   bt.port = 5001;
-  bt.factory = core::make_sender_factory(algo);
+  bt.cc = &algo;
   bt.observer = &tracer;
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(120));
@@ -71,11 +71,11 @@ int main() {
   bench::header("Figure 4", "Example of the Vegas retransmit mechanism");
   bench::note("Segments #40 and #41 are force-dropped from one window.\n");
 
-  for (const auto algo :
-       {core::Algorithm::kReno, core::Algorithm::kVegas}) {
+  for (const char* name : {"reno", "vegas"}) {
+    const tcp::CongOps& algo = *cc::find(name);
     const Outcome out = run_with_double_loss(algo);
     std::printf("%s: %.1f KB/s, %llu coarse timeouts, %.2f s transfer\n",
-                core::to_string(algo).c_str(),
+                algo.label,
                 out.result.throughput_Bps() / 1024.0,
                 static_cast<unsigned long long>(
                     out.result.sender_stats.coarse_timeouts),

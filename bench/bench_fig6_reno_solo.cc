@@ -4,7 +4,6 @@
 // find the bandwidth, producing the sawtooth and periodic coarse
 // timeouts.
 #include "bench/bench_util.h"
-#include "core/factory.h"
 #include "exp/world.h"
 #include "trace/analyzer.h"
 #include "trace/conn_tracer.h"

@@ -2,7 +2,7 @@
 // (169 KB/s in the paper) and the congestion-avoidance-mechanism
 // detail graph — Expected vs Actual rates with the alpha/beta band.
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "trace/analyzer.h"
 #include "trace/conn_tracer.h"
@@ -22,7 +22,7 @@ int main() {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 1_MB;
   bt.port = 5001;
-  bt.factory = core::make_sender_factory(core::Algorithm::kVegas);
+  bt.cc = cc::find("vegas");
   bt.observer = &tracer;
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(300));

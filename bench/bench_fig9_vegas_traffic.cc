@@ -3,7 +3,7 @@
 // TRAFFIC protocol, including the bottom graph (TRAFFIC output rate in
 // 100 ms bins with a size-3 running average).
 #include "bench/bench_util.h"
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "net/monitor.h"
 #include "trace/analyzer.h"
@@ -34,7 +34,7 @@ int main() {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 1_MB;
   bt.port = 5001;
-  bt.factory = core::make_sender_factory(core::Algorithm::kVegas);
+  bt.cc = cc::find("vegas");
   bt.observer = &tracer;
   bt.start_delay = sim::Time::seconds(3);
   traffic::BulkTransfer t(world.left(1), world.right(1), bt);

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "cc/registry.h"
-#include "core/factory.h"
 #include "exp/world.h"
 #include "tcp/sender.h"
 #include "traffic/bulk.h"
@@ -19,14 +18,11 @@ namespace {
 
 /// Drives one sender through send->ACK cycles with no network, so the
 /// measurement isolates protocol bookkeeping.
-template <typename MakeSender>
-void ack_processing_loop(benchmark::State& state, MakeSender make) {
+void ack_processing_loop(benchmark::State& state, const char* module) {
   for (auto _ : state) {
     state.PauseTiming();
     sim::Simulator sim;
-    tcp::TcpConfig cfg;
-    std::unique_ptr<tcp::TcpSender> snd_ptr = make(cfg);
-    tcp::TcpSender& snd = *snd_ptr;
+    tcp::TcpSender snd(tcp::TcpConfig{}, *cc::find(module));
     tcp::TcpSender::Env env;
     env.sim = &sim;
     env.transmit = [](tcp::StreamOffset, ByteCount, bool) {};
@@ -50,20 +46,16 @@ void ack_processing_loop(benchmark::State& state, MakeSender make) {
 }
 
 void BM_RenoAckProcessing(benchmark::State& state) {
-  ack_processing_loop(state, [](const tcp::TcpConfig& cfg) {
-    return cc::make_sender("reno", cfg);
-  });
+  ack_processing_loop(state, "reno");
 }
 BENCHMARK(BM_RenoAckProcessing);
 
 void BM_VegasAckProcessing(benchmark::State& state) {
-  ack_processing_loop(state, [](const tcp::TcpConfig& cfg) {
-    return cc::make_sender("vegas", cfg);
-  });
+  ack_processing_loop(state, "vegas");
 }
 BENCHMARK(BM_VegasAckProcessing);
 
-void end_to_end_transfer(benchmark::State& state, core::Algorithm algo) {
+void end_to_end_transfer(benchmark::State& state, const char* algo) {
   for (auto _ : state) {
     net::DumbbellConfig topo;
     topo.pairs = 1;
@@ -72,7 +64,7 @@ void end_to_end_transfer(benchmark::State& state, core::Algorithm algo) {
     traffic::BulkTransfer::Config cfg;
     cfg.bytes = 1_MB;
     cfg.port = 5001;
-    cfg.factory = core::make_sender_factory(algo);
+    cfg.cc = cc::find(algo);
     traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
     world.sim().run_until(sim::Time::seconds(300));
     benchmark::DoNotOptimize(t.done());
@@ -80,12 +72,12 @@ void end_to_end_transfer(benchmark::State& state, core::Algorithm algo) {
 }
 
 void BM_RenoTransfer1MB(benchmark::State& state) {
-  end_to_end_transfer(state, core::Algorithm::kReno);
+  end_to_end_transfer(state, "reno");
 }
 BENCHMARK(BM_RenoTransfer1MB)->Unit(benchmark::kMillisecond);
 
 void BM_VegasTransfer1MB(benchmark::State& state) {
-  end_to_end_transfer(state, core::Algorithm::kVegas);
+  end_to_end_transfer(state, "vegas");
 }
 BENCHMARK(BM_VegasTransfer1MB)->Unit(benchmark::kMillisecond);
 

@@ -63,16 +63,15 @@ int main(int argc, char** argv) {
   traffic::BulkTransfer::Config fixed;
   fixed.bytes = 1_MB;
   fixed.port = 5001;
-  fixed.factory = [segments](tcp::TcpConfig cfg) {
-    cfg.initial_cwnd_segments = segments;
-    return cc::make_sender("fixed-window", cfg);
-  };
+  fixed.cc = cc::find("fixed-window");  // registered above
+  fixed.tcp = tcp::TcpConfig{};
+  fixed.tcp->initial_cwnd_segments = segments;
   traffic::BulkTransfer t_fixed(world.left(0), world.right(0), fixed);
 
   traffic::BulkTransfer::Config reno;
   reno.bytes = 1_MB;
   reno.port = 5002;
-  reno.factory = cc::make_factory("reno");
+  reno.cc = cc::find("reno");
   traffic::BulkTransfer t_reno(world.left(1), world.right(1), reno);
 
   world.sim().run_until(sim::Time::seconds(600));

@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
   p.seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
 
   if (algo_name == "reno") {
-    p.algo = exp::AlgoSpec::reno();
+    p.algo = cc::AlgoSpec::reno();
   } else if (algo_name == "vegas") {
-    p.algo = exp::AlgoSpec::vegas(1, 3);
+    p.algo = cc::AlgoSpec::vegas(1, 3);
   } else {
     const tcp::CongOps* ops = cc::find(algo_name);
     if (ops == nullptr) {
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                    algo_name.c_str(), cc::closest(algo_name).c_str());
       return 1;
     }
-    p.algo = exp::AlgoSpec::named(std::string(ops->name));
+    p.algo = cc::AlgoSpec::named(std::string(ops->name));
   }
 
   std::printf("17-hop chain, 230 KB/s narrow segment, tcplib cross "

@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "traffic/bulk.h"
 
@@ -17,8 +17,8 @@ using namespace vegas;
 
 int main(int argc, char** argv) {
   const std::string algo_name = argc > 1 ? argv[1] : "vegas";
-  const auto algo = core::parse_algorithm(algo_name);
-  if (!algo.has_value()) {
+  const tcp::CongOps* algo = cc::find(algo_name);
+  if (algo == nullptr) {
     std::fprintf(stderr, "unknown algorithm '%s'\n", algo_name.c_str());
     return 1;
   }
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = bytes;
   cfg.port = 5001;
-  cfg.factory = core::make_sender_factory(*algo);
+  cfg.cc = algo;
   traffic::BulkTransfer transfer(world.left(0), world.right(0), cfg);
 
   // 4. Run to completion (cap at 10 simulated minutes).

@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "trace/analyzer.h"
 #include "trace/conn_tracer.h"
@@ -30,8 +30,8 @@ void write_marks(const std::string& path, const std::vector<double>& ts,
 int main(int argc, char** argv) {
   const std::string algo_name = argc > 1 ? argv[1] : "vegas";
   const std::string outdir = argc > 2 ? argv[2] : ".";
-  const auto algo = core::parse_algorithm(algo_name);
-  if (!algo.has_value()) {
+  const tcp::CongOps* algo = cc::find(algo_name);
+  if (algo == nullptr) {
     std::fprintf(stderr, "unknown algorithm '%s'\n", algo_name.c_str());
     return 1;
   }
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = 1_MB;
   cfg.port = 5001;
-  cfg.factory = core::make_sender_factory(*algo);
+  cfg.cc = algo;
   cfg.observer = &tracer;
   traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
   world.sim().run_until(sim::Time::seconds(300));
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   write_marks(base + "coarse_ticks.csv",
               az.marks(trace::EventKind::kCoarseTick), "tick");
   write_marks(base + "losses.csv", az.presumed_loss_times(), "loss");
-  if (*algo == core::Algorithm::kVegas) {
+  if (algo == cc::find("vegas")) {
     trace::write_csv(base + "cam_expected.csv",
                      az.series(trace::EventKind::kCamExpected), "bytes_per_s");
     trace::write_csv(base + "cam_actual.csv",

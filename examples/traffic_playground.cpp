@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "stats/summary.h"
 #include "traffic/bulk.h"
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 1_MB;
   bt.port = 5001;
-  bt.factory = core::make_sender_factory(core::Algorithm::kVegas);
+  bt.cc = cc::find("vegas");
   bt.start_delay = sim::Time::seconds(5);
   traffic::BulkTransfer transfer(world.left(1), world.right(1), bt);
 

@@ -5,7 +5,7 @@
 //   ./vegas_vs_reno
 #include <cstdio>
 
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "trace/analyzer.h"
 #include "trace/conn_tracer.h"
@@ -21,7 +21,7 @@ struct Run {
   std::size_t bottleneck_drops = 0;
 };
 
-Run run_solo(core::Algorithm algo) {
+Run run_solo(const char* algo) {
   Run run;
   net::DumbbellConfig topo;
   topo.pairs = 1;
@@ -31,7 +31,7 @@ Run run_solo(core::Algorithm algo) {
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = 1_MB;
   cfg.port = 5001;
-  cfg.factory = core::make_sender_factory(algo);
+  cfg.cc = cc::find(algo);
   cfg.observer = &run.tracer;
   traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
   world.sim().run_until(sim::Time::seconds(300));
@@ -70,9 +70,9 @@ void report(const char* title, const Run& run) {
 int main() {
   std::printf("Reproduces Figures 6 and 7: 1 MB transfer, no competing "
               "traffic,\n200 KB/s bottleneck with 10 buffers.\n\n");
-  const Run reno = run_solo(core::Algorithm::kReno);
+  const Run reno = run_solo("reno");
   report("TCP Reno (Figure 6)", reno);
-  const Run vegas = run_solo(core::Algorithm::kVegas);
+  const Run vegas = run_solo("vegas");
   report("TCP Vegas (Figure 7)", vegas);
 
   // Figure 8: Vegas' congestion-avoidance detail.

@@ -39,16 +39,23 @@ void link_builtins() {
   cc_module_anchor_new_aimd();
 }
 
+char lower(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+}
+
 std::string lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  for (char& c : out) c = lower(c);
   return out;
 }
 
+// Copy-free: scenario setup resolves every flow's module through find().
 bool ieq(std::string_view a, const char* b) {
-  return b != nullptr && lower(a) == lower(b);
+  if (b == nullptr) return false;
+  const std::string_view bv(b);
+  return a.size() == bv.size() &&
+         std::equal(a.begin(), a.end(), bv.begin(),
+                    [](char x, char y) { return lower(x) == lower(y); });
 }
 
 // Write-once at static initialization (module registrars), read-only
@@ -129,19 +136,38 @@ std::string closest(std::string_view name) {
   return best;
 }
 
-tcp::SenderFactory make_factory(std::string_view name) {
+namespace {
+
+const CongOps& must_find(std::string_view name) {
   const CongOps* ops = find(name);
   vegas::ensure(ops != nullptr, "unknown congestion-control module");
-  return [ops](const tcp::TcpConfig& cfg) {
-    return std::make_unique<tcp::TcpSender>(cfg, *ops);
-  };
+  return *ops;
 }
+
+}  // namespace
 
 std::unique_ptr<tcp::TcpSender> make_sender(std::string_view name,
                                             const tcp::TcpConfig& cfg) {
+  return std::make_unique<tcp::TcpSender>(cfg, must_find(name));
+}
+
+const CongOps& AlgoSpec::ops() const { return must_find(name); }
+
+void AlgoSpec::apply(tcp::TcpConfig& cfg) const {
+  if (name != "vegas") return;
+  cfg.vegas_alpha = alpha;
+  cfg.vegas_beta = beta;
+  cfg.vegas_gamma = gamma;
+  cfg.vegas_fine_decrease = fine_decrease;
+}
+
+std::string AlgoSpec::label() const {
+  if (name == "vegas") {
+    return "Vegas-" + std::to_string(static_cast<int>(alpha)) + "," +
+           std::to_string(static_cast<int>(beta));
+  }
   const CongOps* ops = find(name);
-  vegas::ensure(ops != nullptr, "unknown congestion-control module");
-  return std::make_unique<tcp::TcpSender>(cfg, *ops);
+  return ops != nullptr ? ops->label : name;
 }
 
 }  // namespace vegas::cc

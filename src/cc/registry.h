@@ -1,4 +1,5 @@
-// Self-registering module registry: name → CongOps (tcp/cong_ops.h).
+// Self-registering module registry: name → CongOps (tcp/cong_ops.h),
+// and AlgoSpec, the one way a caller names an algorithm and its knobs.
 //
 // A module .cc file defines its static CongOps table and registers it at
 // static-initialization time with CC_REGISTER_MODULE.  Lookup is
@@ -17,8 +18,8 @@
 #include <string_view>
 #include <vector>
 
+#include "tcp/config.h"
 #include "tcp/cong_ops.h"
-#include "tcp/stack.h"
 
 namespace vegas::cc {
 
@@ -37,13 +38,40 @@ std::vector<const tcp::CongOps*> modules();
 /// distance (did-you-mean); empty only if the registry is empty.
 std::string closest(std::string_view name);
 
-/// Connection factory for a registered module; ensure()-fails on an
-/// unknown name (validate user input with find() first).
-tcp::SenderFactory make_factory(std::string_view name);
-
 /// One sender running the named module; ensure()-fails on unknown names.
 std::unique_ptr<tcp::TcpSender> make_sender(std::string_view name,
                                             const tcp::TcpConfig& cfg);
+
+/// Algorithm choice with Vegas thresholds (paper's Vegas-1,3 / Vegas-2,4)
+/// plus the secondary Vegas knobs the ablation benches sweep.  `name` is
+/// a registry key — any registered module, not just the paper-era seven.
+/// A connection takes the module as `ops()` and the knobs through its
+/// TcpConfig, after `apply()`.
+struct AlgoSpec {
+  std::string name = "reno";
+  double alpha = 2.0;
+  double beta = 4.0;
+  double gamma = 1.0;          // slow-start exit threshold (§3.3)
+  double fine_decrease = 0.75; // window cut on fine-detected loss (§3.1)
+
+  static AlgoSpec reno() { return {"reno", 0, 0}; }
+  static AlgoSpec tahoe() { return {"tahoe", 0, 0}; }
+  static AlgoSpec vegas(double a = 2, double b = 4) {
+    return {"vegas", a, b};
+  }
+  static AlgoSpec named(std::string module) {
+    AlgoSpec spec;
+    spec.name = std::move(module);
+    return spec;
+  }
+
+  /// The module's table; ensure()-fails on an unknown name.
+  const tcp::CongOps& ops() const;
+  /// Writes α/β/γ/fine_decrease into `cfg` for a Vegas spec (only the
+  /// vegas module reads them); any other spec leaves `cfg` unchanged.
+  void apply(tcp::TcpConfig& cfg) const;
+  std::string label() const;
+};
 
 namespace detail {
 struct Registrar {

@@ -25,7 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <new>  // std::launder; lint: raw-new-ok
+#include <new>  // std::launder
 #include <utility>
 #include <vector>
 

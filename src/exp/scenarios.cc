@@ -12,29 +12,18 @@
 
 namespace vegas::exp {
 
-tcp::SenderFactory AlgoSpec::factory() const {
-  if (name == "vegas") {
-    const AlgoSpec spec = *this;
-    return [spec](const tcp::TcpConfig& cfg) {
-      tcp::TcpConfig tuned = cfg;
-      tuned.vegas_alpha = spec.alpha;
-      tuned.vegas_beta = spec.beta;
-      tuned.vegas_gamma = spec.gamma;
-      tuned.vegas_fine_decrease = spec.fine_decrease;
-      return cc::make_sender("vegas", tuned);
-    };
-  }
-  return cc::make_factory(name);
+namespace {
+
+/// Runs `cfg`'s connections on `algo`'s module with its knobs applied
+/// over `base`, the TCP defaults both endpoint stacks share.
+template <typename Config>
+void use_algo(Config& cfg, const cc::AlgoSpec& algo, tcp::TcpConfig base) {
+  algo.apply(base);
+  cfg.cc = &algo.ops();
+  cfg.tcp = base;
 }
 
-std::string AlgoSpec::label() const {
-  if (name == "vegas") {
-    return "Vegas-" + std::to_string(static_cast<int>(alpha)) + "," +
-           std::to_string(static_cast<int>(beta));
-  }
-  const tcp::CongOps* ops = cc::find(name);
-  return ops != nullptr ? ops->label : name;
-}
+}  // namespace
 
 OneOnOneResult run_one_on_one(const OneOnOneParams& p) {
   net::DumbbellConfig topo;
@@ -46,14 +35,14 @@ OneOnOneResult run_one_on_one(const OneOnOneParams& p) {
   traffic::BulkTransfer::Config large;
   large.bytes = p.large_bytes;
   large.port = 5001;
-  large.factory = p.large.factory();
+  use_algo(large, p.large, tcp_cfg);
   large.observer = p.observer;
   traffic::BulkTransfer t_large(world.left(0), world.right(0), large);
 
   traffic::BulkTransfer::Config small;
   small.bytes = p.small_bytes;
   small.port = 5002;
-  small.factory = p.small.factory();
+  use_algo(small, p.small, tcp_cfg);
   small.start_delay = sim::Time::seconds(p.small_delay_s);
   traffic::BulkTransfer t_small(world.left(1), world.right(1), small);
 
@@ -84,7 +73,7 @@ BackgroundResult run_background(const BackgroundParams& p) {
   tc.mean_interarrival_s = p.mean_interarrival_s;
   tc.listen_port = 7000;
   tc.seed = rng::derive_seed(p.seed, "background");
-  tc.factory = p.background.factory();
+  use_algo(tc, p.background, tcp_cfg);
   traffic::TrafficSource source(world.left(0), world.right(0), tc);
   source.start();
 
@@ -103,14 +92,11 @@ BackgroundResult run_background(const BackgroundParams& p) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = p.bytes;
   bt.port = 5001;
-  bt.factory = p.transfer.factory();
+  tcp::TcpConfig transfer_cfg = tcp_cfg;
+  transfer_cfg.sack_enabled = p.transfer_sack;
+  use_algo(bt, p.transfer, transfer_cfg);
   bt.observer = p.observer;
   bt.start_delay = sim::Time::seconds(p.transfer_start_s);
-  if (p.transfer_sack) {
-    tcp::TcpConfig sack_cfg = tcp_cfg;
-    sack_cfg.sack_enabled = true;
-    bt.tcp = sack_cfg;
-  }
   traffic::BulkTransfer transfer(world.left(1), world.right(1), bt);
 
   // Run until the transfer has completed AND the fixed background-goodput
@@ -197,7 +183,7 @@ traffic::TransferResult run_wan(const WanParams& p) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = p.bytes;
   bt.port = 5001;
-  bt.factory = p.algo.factory();
+  use_algo(bt, p.algo, tcp_cfg);
   bt.observer = p.observer;
   bt.start_delay = sim::Time::seconds(5.0);  // let cross traffic settle
   traffic::BulkTransfer transfer(world.src(), world.dst(), bt);
@@ -223,7 +209,7 @@ FairnessResult run_fairness(const FairnessParams& p) {
     traffic::BulkTransfer::Config bt;
     bt.bytes = p.bytes_each;
     bt.port = static_cast<PortNum>(5001 + i);
-    bt.factory = p.algo.factory();
+    use_algo(bt, p.algo, tcp_cfg);
     if (i == 0) bt.observer = p.observer;
     // Small start jitter so connections do not move in lockstep.
     bt.start_delay = sim::Time::seconds(jitter.uniform(0.0, 0.5));

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "tcp/stack.h"
 #include "traffic/bulk.h"
@@ -12,37 +13,11 @@
 
 namespace vegas::exp {
 
-/// Algorithm choice with Vegas thresholds (paper's Vegas-1,3 / Vegas-2,4)
-/// plus the secondary Vegas knobs the ablation benches sweep.  `name` is
-/// a cc registry key (cc/registry.h) — any registered module, not just
-/// the paper-era seven.
-struct AlgoSpec {
-  std::string name = "reno";
-  double alpha = 2.0;
-  double beta = 4.0;
-  double gamma = 1.0;          // slow-start exit threshold (§3.3)
-  double fine_decrease = 0.75; // window cut on fine-detected loss (§3.1)
-
-  static AlgoSpec reno() { return {"reno", 0, 0}; }
-  static AlgoSpec tahoe() { return {"tahoe", 0, 0}; }
-  static AlgoSpec vegas(double a = 2, double b = 4) {
-    return {"vegas", a, b};
-  }
-  static AlgoSpec named(std::string module) {
-    AlgoSpec spec;
-    spec.name = std::move(module);
-    return spec;
-  }
-
-  tcp::SenderFactory factory() const;
-  std::string label() const;
-};
-
 // ---------------------------------------------------------------- Table 1
 
 struct OneOnOneParams {
-  AlgoSpec large;           // 1 MB transfer
-  AlgoSpec small;           // 300 KB transfer, starts later
+  cc::AlgoSpec large;       // 1 MB transfer
+  cc::AlgoSpec small;       // 300 KB transfer, starts later
   ByteCount large_bytes = 1_MB;
   ByteCount small_bytes = 300_KB;
   double small_delay_s = 1.0;  // 0..2.5 in the paper's sweep
@@ -64,8 +39,8 @@ OneOnOneResult run_one_on_one(const OneOnOneParams& p);
 // ------------------------------------------------------------ Tables 2, 3
 
 struct BackgroundParams {
-  AlgoSpec transfer;                      // the measured 1 MB connection
-  AlgoSpec background = AlgoSpec::reno(); // tcplib conversations
+  cc::AlgoSpec transfer;  // the measured 1 MB connection
+  cc::AlgoSpec background = cc::AlgoSpec::reno();  // tcplib conversations
   ByteCount bytes = 1_MB;
   std::size_t queue = 10;  // 10, 15, 20 in the paper
   std::uint64_t seed = 1;
@@ -102,7 +77,7 @@ BackgroundResult run_background(const BackgroundParams& p);
 // ------------------------------------------------------------ Tables 4, 5
 
 struct WanParams {
-  AlgoSpec algo;
+  cc::AlgoSpec algo;
   ByteCount bytes = 1_MB;
   std::uint64_t seed = 1;
   /// Cross-traffic: a tcplib conversation source per covered hop.  The
@@ -121,7 +96,7 @@ traffic::TransferResult run_wan(const WanParams& p);
 
 struct FairnessParams {
   int connections = 4;          // 2, 4, 16 in the paper
-  AlgoSpec algo;
+  cc::AlgoSpec algo;
   ByteCount bytes_each = 2_MB;  // 8 MB for 2/4 conns, 2 MB for 16
   bool unequal_delay = false;   // half the connections get 2x prop delay
   std::size_t queue = 20;

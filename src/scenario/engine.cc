@@ -402,7 +402,9 @@ CellResult run_cell(const ScenarioSpec& spec, std::size_t index,
     tc.mean_interarrival_s = t.mean_interarrival_s;
     tc.listen_port = t.listen_port;
     tc.seed = rng::derive_seed(spec.seed, t.name);
-    tc.factory = t.algo.factory();
+    tc.cc = &t.algo.ops();
+    tc.tcp = spec.tcp;
+    t.algo.apply(*tc.tcp);
     tc.workload = t.workload;
     // Conversation endpoints are colocated by the partitioner; their
     // arrival events belong to that shared lane.
@@ -443,19 +445,18 @@ CellResult run_cell(const ScenarioSpec& spec, std::size_t index,
     traffic::BulkTransfer::Config bt;
     bt.bytes = f.bytes;
     bt.port = f.port;
-    bt.factory = f.algo.factory();
+    bt.cc = &f.algo.ops();
     bt.start_delay = sim::Time::seconds(f.start_s);
     if (f.trace) {
       tracers.emplace_back();
       bt.observer = &tracers.back();
     }
-    if (f.sack || f.paced_slow_start || f.send_buffer.has_value()) {
-      tcp::TcpConfig tuned = spec.tcp;
-      if (f.sack) tuned.sack_enabled = true;
-      if (f.paced_slow_start) tuned.vegas_paced_slow_start = true;
-      if (f.send_buffer.has_value()) tuned.send_buffer = *f.send_buffer;
-      bt.tcp = tuned;
-    }
+    tcp::TcpConfig tuned = spec.tcp;  // the defaults both stacks share
+    if (f.sack) tuned.sack_enabled = true;
+    if (f.paced_slow_start) tuned.vegas_paced_slow_start = true;
+    if (f.send_buffer.has_value()) tuned.send_buffer = *f.send_buffer;
+    f.algo.apply(tuned);
+    bt.tcp = tuned;
     // The kickoff (SYN after start_delay) fires on the sender's lane;
     // the receiver side only reacts to arriving packets, which land in
     // its own lane by construction.

@@ -134,8 +134,8 @@ class Reader {
   std::set<std::string> used_;
 };
 
-exp::AlgoSpec read_algo(Reader& r) {
-  exp::AlgoSpec spec;
+cc::AlgoSpec read_algo(Reader& r) {
+  cc::AlgoSpec spec;
   const std::string proto = r.string("protocol", "reno");
   const tcp::CongOps* ops = cc::find(proto);  // case-insensitive
   if (ops == nullptr) {

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/scenarios.h"
+#include "cc/registry.h"
 #include "net/red.h"
 #include "net/topology.h"
 #include "scenario/parser.h"
@@ -60,7 +60,7 @@ struct QueueSpec {
 /// expands those into N plain FlowSpecs, so the engine never sees them.
 struct FlowSpec {
   std::string name;
-  exp::AlgoSpec algo;
+  cc::AlgoSpec algo;
   ByteCount bytes = 0;
   std::string src;  // endpoint reference, e.g. "left0", "src", "h1"
   std::string dst;
@@ -82,7 +82,7 @@ struct TrafficSpec {
   std::string server;
   double mean_interarrival_s = 3.0;
   PortNum listen_port = 7000;
-  exp::AlgoSpec algo;  // defaults to Reno, as in the paper
+  cc::AlgoSpec algo;  // defaults to Reno, as in the paper
   traffic::WorkloadParams workload;
   bool meter_goodput = true;  // count toward background_goodput (dumbbell)
 };

@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>

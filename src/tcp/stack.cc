@@ -8,10 +8,6 @@
 
 namespace vegas::tcp {
 
-SenderFactory reno_factory() {
-  return [](const TcpConfig& cfg) { return std::make_unique<TcpSender>(cfg); };
-}
-
 Stack::Stack(sim::Simulator& sim, net::Host& host, TcpConfig defaults,
              std::uint64_t seed)
     : sim_(sim),
@@ -50,15 +46,15 @@ Stack::ConnSlot Stack::make_slot(ObjectArena<Connection>::Id arena_id,
 }
 
 Connection& Stack::connect(NodeId remote, PortNum remote_port,
-                           SenderFactory factory,
+                           const CongOps& cc,
                            std::optional<TcpConfig> cfg) {
   const TcpConfig config = cfg.value_or(defaults_);
-  if (!factory) factory = reno_factory();
   const PortNum local_port = pick_ephemeral();
   const std::uint32_t isn = config.fixed_isn.value_or(pick_isn());
   const auto [arena_id, conn] =
       conn_arena_.create(*this, remote, local_port, remote_port,
-                         factory(config), config, isn, std::nullopt);
+                         std::make_unique<TcpSender>(config, cc), config,
+                         isn, std::nullopt);
   Connection& ref = *conn;
   connections_.insert(conn_key(local_port, remote, remote_port),
                       make_slot(arena_id, conn));
@@ -71,11 +67,10 @@ Connection& Stack::connect(NodeId remote, PortNum remote_port,
   return ref;
 }
 
-void Stack::listen(PortNum port, AcceptFn on_accept, SenderFactory factory,
+void Stack::listen(PortNum port, AcceptFn on_accept, const CongOps& cc,
                    std::optional<TcpConfig> cfg) {
   ensure(!listeners_.contains(port), "port already listening");
-  if (!factory) factory = reno_factory();
-  listeners_.insert(port, Listener{std::move(on_accept), std::move(factory),
+  listeners_.insert(port, Listener{std::move(on_accept), &cc,
                                    cfg.value_or(defaults_)});
 }
 
@@ -96,7 +91,8 @@ void Stack::on_packet(net::PacketPtr p) {
       const std::uint32_t isn = listener->cfg.fixed_isn.value_or(pick_isn());
       const auto [arena_id, conn] = conn_arena_.create(
           *this, p->src, p->tcp.dst_port, p->tcp.src_port,
-          listener->factory(listener->cfg), listener->cfg, isn,
+          std::make_unique<TcpSender>(listener->cfg, *listener->cc),
+          listener->cfg, isn,
           std::optional<std::uint32_t>(p->tcp.seq));
       Connection& ref = *conn;
       connections_.insert(key, make_slot(arena_id, conn));

@@ -30,15 +30,6 @@
 
 namespace vegas::tcp {
 
-/// Creates the congestion-control engine for a new connection.  The
-/// default factory (empty function) produces Reno.  Invoked once per
-/// connection setup, so std::function's flexibility is fine here.
-using SenderFactory =
-    std::function<std::unique_ptr<TcpSender>(  // lint: std-function-ok
-        const TcpConfig&)>;
-
-SenderFactory reno_factory();
-
 class Stack {
  public:
   // Runs once per accepted connection (control path, and on_packet
@@ -50,16 +41,19 @@ class Stack {
   Stack(sim::Simulator& sim, net::Host& host, TcpConfig defaults,
         std::uint64_t seed);
 
-  /// Active open to (remote, remote_port).  The connection is started
-  /// immediately; attach callbacks/observer via the returned reference
-  /// BEFORE the current event returns if establishment must be observed
-  /// (the SYN is in flight, not yet answered, so that is always safe).
+  /// Active open to (remote, remote_port), its sender running the
+  /// congestion control `cc` (a static table: the cc registry's modules,
+  /// or kRenoOps).  The connection is started immediately; attach
+  /// callbacks/observer via the returned reference BEFORE the current
+  /// event returns if establishment must be observed (the SYN is in
+  /// flight, not yet answered, so that is always safe).
   Connection& connect(NodeId remote, PortNum remote_port,
-                      SenderFactory factory = {},
+                      const CongOps& cc = kRenoOps,
                       std::optional<TcpConfig> cfg = std::nullopt);
 
-  /// Passive open: accept connections on `port`, one Connection per SYN.
-  void listen(PortNum port, AcceptFn on_accept, SenderFactory factory = {},
+  /// Passive open: accept connections on `port`, one Connection per SYN,
+  /// each sender running `cc`.
+  void listen(PortNum port, AcceptFn on_accept, const CongOps& cc = kRenoOps,
               std::optional<TcpConfig> cfg = std::nullopt);
 
   // --- services used by Connection ---------------------------------------
@@ -92,7 +86,7 @@ class Stack {
  private:
   struct Listener {
     AcceptFn on_accept;
-    SenderFactory factory;
+    const CongOps* cc = nullptr;
     TcpConfig cfg;
   };
   /// Demux table entry: the connection plus its sender and slab row,

@@ -44,7 +44,7 @@ BulkTransfer::BulkTransfer(tcp::Stack& sender_side, tcp::Stack& receiver_side,
         cbs.on_remote_close = [&c] { c.close(); };
         c.set_callbacks(std::move(cbs));
       },
-      /*factory=*/{}, cfg_.tcp);
+      tcp::kRenoOps, cfg_.tcp);
 
   sender_side_.sim().schedule(cfg_.start_delay, [this] { begin(); });
 }
@@ -52,7 +52,7 @@ BulkTransfer::BulkTransfer(tcp::Stack& sender_side, tcp::Stack& receiver_side,
 void BulkTransfer::begin() {
   result_.start = sender_side_.sim().now();
   conn_ = &sender_side_.connect(receiver_side_.node_id(), cfg_.port,
-                                cfg_.factory, cfg_.tcp);
+                                *cfg_.cc, cfg_.tcp);
   if (cfg_.observer != nullptr) conn_->set_observer(cfg_.observer);
   result_.algorithm = conn_->sender().name();
 

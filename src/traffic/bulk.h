@@ -43,9 +43,9 @@ class BulkTransfer {
   struct Config {
     ByteCount bytes = 0;
     PortNum port = 5001;
-    tcp::SenderFactory factory;            // empty -> Reno
-    std::optional<tcp::TcpConfig> tcp;     // empty -> stack defaults
-    sim::Time start_delay;                 // connect() happens then
+    const tcp::CongOps* cc = &tcp::kRenoOps;  // the sender's CC module
+    std::optional<tcp::TcpConfig> tcp;        // empty -> stack defaults
+    sim::Time start_delay;                    // connect() happens then
     tcp::ConnectionObserver* observer = nullptr;
     std::function<void(const TransferResult&)> on_complete;
   };

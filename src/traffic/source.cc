@@ -30,7 +30,7 @@ void TrafficSource::start() {
           pending_accept_.erase(it);
           conv->bind_server(c);
         },
-        cfg_.factory, cfg_.tcp);
+        *cfg_.cc, cfg_.tcp);
   }
   schedule_next();
 }
@@ -68,7 +68,7 @@ void TrafficSource::spawn() {
   ++stats_.by_type[raw->type()];
 
   tcp::Connection& c =
-      client_.connect(server_.node_id(), cfg_.listen_port, cfg_.factory,
+      client_.connect(server_.node_id(), cfg_.listen_port, *cfg_.cc,
                       cfg_.tcp);
   pending_accept_[c.local_port()] = raw;
   raw->bind_client(c);

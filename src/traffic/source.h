@@ -21,9 +21,9 @@ struct TrafficConfig {
   double mean_interarrival_s = 3.0;
   PortNum listen_port = 7000;
   std::uint64_t seed = 1;
-  /// CC algorithm used by conversation senders ("the tcplib traffic is
-  /// running over Reno", §4.2); empty = Reno.  Applied to both ends.
-  tcp::SenderFactory factory;
+  /// CC module used by conversation senders ("the tcplib traffic is
+  /// running over Reno", §4.2).  Applied to both ends.
+  const tcp::CongOps* cc = &tcp::kRenoOps;
   std::optional<tcp::TcpConfig> tcp;
   /// Stop spawning new conversations after this instant (existing ones
   /// run to completion).

@@ -90,7 +90,7 @@ TEST_P(ModernModuleTransferTest, CompletesOnCleanLink) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 300_KB;
   bt.port = 5001;
-  bt.factory = make_factory(GetParam());
+  bt.cc = find(GetParam());
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(300));
   ASSERT_TRUE(t.done()) << GetParam();
@@ -108,7 +108,7 @@ TEST_P(ModernModuleTransferTest, CompletesUnderLoss) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 150_KB;
   bt.port = 5001;
-  bt.factory = make_factory(GetParam());
+  bt.cc = find(GetParam());
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(600));
   ASSERT_TRUE(t.done()) << GetParam();
@@ -199,7 +199,7 @@ TEST(YeahTest, BacklogSensitivityLosesLessThanReno) {
     traffic::BulkTransfer::Config bt;
     bt.bytes = 4_MB;
     bt.port = 5001;
-    bt.factory = make_factory(module);
+    bt.cc = find(module);
     traffic::BulkTransfer t(world.left(0), world.right(0), bt);
     world.sim().run_until(sim::Time::seconds(300));
     EXPECT_TRUE(t.done()) << module;

@@ -13,7 +13,6 @@
 #include "cc/diag.h"
 #include "cc/registry.h"
 #include "check/determinism.h"
-#include "core/factory.h"
 #include "exp/world.h"
 #include "net/loss.h"
 #include "trace/conn_tracer.h"
@@ -91,8 +90,7 @@ TEST(CcRegistryTest, DefaultSenderRunsTheRegistryReno) {
   EXPECT_EQ(&snd.ops(), find("reno"));
   EXPECT_EQ(&snd.ops(), &tcp::kRenoOps);
   EXPECT_EQ(snd.name(), "Reno");
-  auto via_factory = make_factory("reno")(tcp::TcpConfig{});
-  EXPECT_EQ(&via_factory->ops(), &snd.ops());
+  EXPECT_EQ(&AlgoSpec::reno().ops(), &snd.ops());
 }
 
 TEST(CcRegistryTest, DiagnosticsAnswerOnlyForTheirOwnModule) {
@@ -116,25 +114,31 @@ TEST(CcRegistryTest, DiagnosticsAnswerOnlyForTheirOwnModule) {
   EXPECT_EQ(d->cam_samples, 0u);
 }
 
-TEST(CcRegistryTest, CoreFactoryShimForwardsToRegistry) {
-  tcp::TcpConfig cfg;
-  auto snd = core::make_sender_factory(core::Algorithm::kVegas)(cfg);
-  EXPECT_EQ(&snd->ops(), find("vegas"));
-  // parse_algorithm only maps the paper-era seven onto the legacy enum;
-  // modern modules are registry-only.
-  EXPECT_FALSE(core::parse_algorithm("cubic").has_value());
-  EXPECT_TRUE(core::parse_algorithm("Tri-S").has_value());
-}
-
 TEST(CcRegistryTest, VegasFactoryAppliesGammaOverride) {
+  AlgoSpec spec = AlgoSpec::vegas(1, 3);
+  spec.gamma = 2.0;
+  spec.fine_decrease = 0.5;
   tcp::TcpConfig cfg;
-  auto snd = core::vegas_factory(1, 3, 2.0)(cfg);
-  EXPECT_DOUBLE_EQ(snd->config().vegas_alpha, 1.0);
-  EXPECT_DOUBLE_EQ(snd->config().vegas_beta, 3.0);
-  EXPECT_DOUBLE_EQ(snd->config().vegas_gamma, 2.0);
-  auto stock = core::vegas_factory(2, 4)(cfg);
-  EXPECT_DOUBLE_EQ(stock->config().vegas_gamma,
-                   tcp::TcpConfig{}.vegas_gamma);
+  spec.apply(cfg);
+  const tcp::TcpSender snd(cfg, spec.ops());
+  EXPECT_EQ(&snd.ops(), find("vegas"));
+  EXPECT_DOUBLE_EQ(snd.config().vegas_alpha, 1.0);
+  EXPECT_DOUBLE_EQ(snd.config().vegas_beta, 3.0);
+  EXPECT_DOUBLE_EQ(snd.config().vegas_gamma, 2.0);
+  EXPECT_DOUBLE_EQ(snd.config().vegas_fine_decrease, 0.5);
+
+  // Only the vegas module reads the thresholds: any other spec leaves
+  // the config as it was, whatever its own fields say.
+  for (const AlgoSpec& other : {AlgoSpec::reno(), AlgoSpec::named("cubic")}) {
+    tcp::TcpConfig untouched;
+    untouched.vegas_gamma = 3.0;
+    other.apply(untouched);
+    EXPECT_DOUBLE_EQ(untouched.vegas_alpha, tcp::TcpConfig{}.vegas_alpha);
+    EXPECT_DOUBLE_EQ(untouched.vegas_beta, tcp::TcpConfig{}.vegas_beta);
+    EXPECT_DOUBLE_EQ(untouched.vegas_gamma, 3.0);
+    EXPECT_DOUBLE_EQ(untouched.vegas_fine_decrease,
+                     tcp::TcpConfig{}.vegas_fine_decrease);
+  }
 }
 
 // ---------------------------------------------------- bit-identity gate
@@ -208,7 +212,7 @@ std::uint64_t run_digest(const std::string& name, int scenario) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = bytes;
   bt.port = 5001;
-  bt.factory = make_factory(name);
+  bt.cc = find(name);
   bt.observer = &tracer;
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(600));

@@ -162,7 +162,7 @@ TEST(InvariantFaultTest, ReportCapsStoredViolations) {
 /// Runs a solo bulk transfer over the Figure-5 dumbbell with the checker
 /// attached (and, for Vegas, wired to the live sender for the BaseRTT
 /// cross-check).  Returns the transfer's completion flag.
-bool run_checked_solo(const exp::AlgoSpec& spec, InvariantChecker& ch) {
+bool run_checked_solo(const cc::AlgoSpec& spec, InvariantChecker& ch) {
   net::DumbbellConfig topo;
   topo.pairs = 1;
   topo.bottleneck_queue = 10;
@@ -170,14 +170,15 @@ bool run_checked_solo(const exp::AlgoSpec& spec, InvariantChecker& ch) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 1_MB;
   bt.port = 5001;
-  const tcp::SenderFactory inner = spec.factory();
-  bt.factory = [&ch, inner](const tcp::TcpConfig& cfg) {
-    auto sender = inner(cfg);
-    ch.attach_sender(sender.get());
-    return sender;
-  };
+  bt.cc = &spec.ops();
+  spec.apply(bt.tcp.emplace());
   bt.observer = &ch;
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
+  // Fires after the transfer's begin() (scheduled first, same instant)
+  // and before the SYN, which connect() defers to a later zero-delay
+  // event: the checker sees the sender before its first segment.
+  world.sim().schedule(sim::Time::zero(),
+                       [&] { ch.attach_sender(&t.connection()->sender()); });
   world.sim().run_until(sim::Time::seconds(300));
   ch.finish();
   return t.done();
@@ -186,7 +187,7 @@ bool run_checked_solo(const exp::AlgoSpec& spec, InvariantChecker& ch) {
 TEST(InvariantCleanTest, VegasSoloTransferIsViolationFree) {
   InvariantChecker ch(
       InvariantOptions::for_config(tcp::TcpConfig{}, /*vegas_rules=*/true));
-  EXPECT_TRUE(run_checked_solo(exp::AlgoSpec::vegas(), ch));
+  EXPECT_TRUE(run_checked_solo(cc::AlgoSpec::vegas(), ch));
   EXPECT_TRUE(ch.ok()) << ch.report();
   EXPECT_TRUE(ch.measured_min_rtt().has_value());
 }
@@ -194,14 +195,14 @@ TEST(InvariantCleanTest, VegasSoloTransferIsViolationFree) {
 TEST(InvariantCleanTest, RenoSoloTransferIsViolationFree) {
   InvariantChecker ch(
       InvariantOptions::for_config(tcp::TcpConfig{}, /*vegas_rules=*/false));
-  EXPECT_TRUE(run_checked_solo(exp::AlgoSpec::reno(), ch));
+  EXPECT_TRUE(run_checked_solo(cc::AlgoSpec::reno(), ch));
   EXPECT_TRUE(ch.ok()) << ch.report();
 }
 
 TEST(InvariantCleanTest, TahoeSoloTransferIsViolationFree) {
   InvariantChecker ch(
       InvariantOptions::for_config(tcp::TcpConfig{}, /*vegas_rules=*/false));
-  EXPECT_TRUE(run_checked_solo(exp::AlgoSpec::tahoe(), ch));
+  EXPECT_TRUE(run_checked_solo(cc::AlgoSpec::tahoe(), ch));
   EXPECT_TRUE(ch.ok()) << ch.report();
 }
 
@@ -216,7 +217,7 @@ std::uint64_t digest_of_run(std::uint64_t seed, std::size_t queue) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 256_KB;
   bt.port = 5001;
-  bt.factory = exp::AlgoSpec::vegas().factory();
+  bt.cc = &cc::AlgoSpec::vegas().ops();
   bt.observer = &tracer;
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(120));

@@ -3,49 +3,37 @@
 
 #include <memory>
 
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "net/loss.h"
 #include "traffic/bulk.h"
 
-namespace vegas::core {
+namespace vegas::cc {
 namespace {
 
 using namespace sim::literals;
 
-TEST(FactoryTest, NamesRoundTrip) {
-  for (const Algorithm a :
-       {Algorithm::kReno, Algorithm::kTahoe, Algorithm::kNewReno,
-        Algorithm::kVegas, Algorithm::kDual, Algorithm::kCard,
-        Algorithm::kTris}) {
-    const auto parsed = parse_algorithm(to_string(a) == "Tri-S"
-                                            ? "tris"
-                                            : to_string(a));
-    ASSERT_TRUE(parsed.has_value()) << to_string(a);
-    EXPECT_EQ(*parsed, a);
-  }
-  EXPECT_FALSE(parse_algorithm("bbr").has_value());
-}
-
 TEST(FactoryTest, ProducesCorrectEngines) {
   tcp::TcpConfig cfg;
-  EXPECT_EQ(make_sender_factory(Algorithm::kReno)(cfg)->name(), "Reno");
-  EXPECT_EQ(make_sender_factory(Algorithm::kTahoe)(cfg)->name(), "Tahoe");
-  EXPECT_EQ(make_sender_factory(Algorithm::kNewReno)(cfg)->name(), "NewReno");
-  EXPECT_EQ(make_sender_factory(Algorithm::kVegas)(cfg)->name(), "Vegas");
-  EXPECT_EQ(make_sender_factory(Algorithm::kDual)(cfg)->name(), "DUAL");
-  EXPECT_EQ(make_sender_factory(Algorithm::kCard)(cfg)->name(), "CARD");
-  EXPECT_EQ(make_sender_factory(Algorithm::kTris)(cfg)->name(), "Tri-S");
+  EXPECT_EQ(make_sender("reno", cfg)->name(), "Reno");
+  EXPECT_EQ(make_sender("tahoe", cfg)->name(), "Tahoe");
+  EXPECT_EQ(make_sender("newreno", cfg)->name(), "NewReno");
+  EXPECT_EQ(make_sender("vegas", cfg)->name(), "Vegas");
+  EXPECT_EQ(make_sender("dual", cfg)->name(), "DUAL");
+  EXPECT_EQ(make_sender("card", cfg)->name(), "CARD");
+  EXPECT_EQ(make_sender("tris", cfg)->name(), "Tri-S");
 }
 
 TEST(FactoryTest, VegasFactoryAppliesThresholds) {
   tcp::TcpConfig cfg;
-  auto snd = vegas_factory(1, 3)(cfg);
-  EXPECT_DOUBLE_EQ(snd->config().vegas_alpha, 1.0);
-  EXPECT_DOUBLE_EQ(snd->config().vegas_beta, 3.0);
+  AlgoSpec::vegas(1, 3).apply(cfg);
+  EXPECT_DOUBLE_EQ(cfg.vegas_alpha, 1.0);
+  EXPECT_DOUBLE_EQ(cfg.vegas_beta, 3.0);
 }
 
-class ComparatorTransferTest : public ::testing::TestWithParam<Algorithm> {};
+/// The parameter is the registry name of the module under test.
+class ComparatorTransferTest
+    : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ComparatorTransferTest, CompletesOnCleanLink) {
   net::DumbbellConfig cfg;
@@ -55,10 +43,10 @@ TEST_P(ComparatorTransferTest, CompletesOnCleanLink) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 300_KB;
   bt.port = 5001;
-  bt.factory = make_sender_factory(GetParam());
+  bt.cc = find(GetParam());
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(300));
-  ASSERT_TRUE(t.done()) << to_string(GetParam());
+  ASSERT_TRUE(t.done()) << GetParam();
   EXPECT_EQ(t.result().bytes_delivered, 300_KB);
   EXPECT_GT(t.throughput_kBps(), 10.0);
 }
@@ -73,19 +61,18 @@ TEST_P(ComparatorTransferTest, CompletesUnderLoss) {
   traffic::BulkTransfer::Config bt;
   bt.bytes = 150_KB;
   bt.port = 5001;
-  bt.factory = make_sender_factory(GetParam());
+  bt.cc = find(GetParam());
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(600));
-  ASSERT_TRUE(t.done()) << to_string(GetParam());
+  ASSERT_TRUE(t.done()) << GetParam();
   EXPECT_EQ(t.result().bytes_delivered, 150_KB);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllComparators, ComparatorTransferTest,
-                         ::testing::Values(Algorithm::kDual, Algorithm::kCard,
-                                           Algorithm::kTris, Algorithm::kTahoe,
-                                           Algorithm::kNewReno),
+                         ::testing::Values("dual", "card", "tris", "tahoe",
+                                           "newreno"),
                          [](const auto& info) {
-                           std::string n = to_string(info.param);
+                           std::string n = find(info.param)->label;
                            n.erase(std::remove(n.begin(), n.end(), '-'),
                                    n.end());
                            return n;
@@ -94,7 +81,7 @@ INSTANTIATE_TEST_SUITE_P(AllComparators, ComparatorTransferTest,
 TEST(ComparatorBehaviourTest, DelayBasedSchemesAvoidQueueOverflow) {
   // DUAL reacts to RTT inflation: against a tight queue it should lose
   // less than Reno does in the same setting.
-  auto run = [](Algorithm algo) {
+  auto run = [](const char* module) {
     net::DumbbellConfig cfg;
     cfg.pairs = 1;
     cfg.bottleneck_queue = 10;
@@ -102,16 +89,16 @@ TEST(ComparatorBehaviourTest, DelayBasedSchemesAvoidQueueOverflow) {
     traffic::BulkTransfer::Config bt;
     bt.bytes = 1_MB;
     bt.port = 5001;
-    bt.factory = make_sender_factory(algo);
+    bt.cc = find(module);
     traffic::BulkTransfer t(world.left(0), world.right(0), bt);
     world.sim().run_until(sim::Time::seconds(300));
-    EXPECT_TRUE(t.done()) << to_string(algo);
+    EXPECT_TRUE(t.done()) << module;
     return t.result().sender_stats.bytes_retransmitted;
   };
-  const ByteCount reno = run(Algorithm::kReno);
-  const ByteCount dual = run(Algorithm::kDual);
+  const ByteCount reno = run("reno");
+  const ByteCount dual = run("dual");
   EXPECT_LT(dual, reno);
 }
 
 }  // namespace
-}  // namespace vegas::core
+}  // namespace vegas::cc

@@ -7,12 +7,11 @@
 
 #include "cc/diag.h"
 #include "cc/registry.h"
-#include "core/factory.h"
 #include "exp/world.h"
 #include "net/loss.h"
 #include "traffic/bulk.h"
 
-namespace vegas::core {
+namespace vegas::cc {
 namespace {
 
 using namespace sim::literals;
@@ -115,7 +114,7 @@ TEST(NewRenoTest, RecoversMultiLossWindowWithoutTimeoutEndToEnd) {
   // real simulated network: three consecutive data packets forced lost.
   // Plain Reno exits recovery on the first partial ACK and stalls into a
   // coarse timeout; NewReno heals hole-by-hole without one.
-  auto run = [](core::Algorithm algo) {
+  auto run = [](const char* module) {
     net::DumbbellConfig topo;
     topo.pairs = 1;
     topo.bottleneck_queue = 30;  // our injector is the only loss source
@@ -126,18 +125,18 @@ TEST(NewRenoTest, RecoversMultiLossWindowWithoutTimeoutEndToEnd) {
     traffic::BulkTransfer::Config cfg;
     cfg.bytes = 300_KB;
     cfg.port = 5001;
-    cfg.factory = core::make_sender_factory(algo);
+    cfg.cc = find(module);
     traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
     world.sim().run_until(sim::Time::seconds(120));
-    EXPECT_TRUE(t.done()) << core::to_string(algo);
+    EXPECT_TRUE(t.done()) << module;
     return t.result();
   };
-  const auto newreno = run(core::Algorithm::kNewReno);
-  const auto reno = run(core::Algorithm::kReno);
+  const auto newreno = run("newreno");
+  const auto reno = run("reno");
   EXPECT_EQ(newreno.sender_stats.coarse_timeouts, 0u);
   EXPECT_GT(reno.sender_stats.coarse_timeouts, 0u);
   EXPECT_LT(newreno.duration_s(), reno.duration_s());
 }
 
 }  // namespace
-}  // namespace vegas::core
+}  // namespace vegas::cc

@@ -16,6 +16,8 @@
 namespace vegas::exp {
 namespace {
 
+using cc::AlgoSpec;
+
 TEST(RunnerTest, MapReturnsResultsInIndexOrder) {
   for (const int threads : {1, 2, 4, 7}) {
     ParallelRunner runner(threads);

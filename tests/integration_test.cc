@@ -10,6 +10,8 @@
 namespace vegas::exp {
 namespace {
 
+using cc::AlgoSpec;
+
 // Every scenario run is shadowed by a protocol-invariant checker on its
 // measured connection; the Vegas-only rules engage when the observed
 // algorithm is Vegas.
@@ -65,7 +67,8 @@ TEST(PaperShapeTest, VegasBeatsRenoSolo) {
     traffic::BulkTransfer::Config bt;
     bt.bytes = 1_MB;
     bt.port = 5001;
-    bt.factory = spec.factory();
+    bt.cc = &spec.ops();
+    spec.apply(bt.tcp.emplace());
     bt.observer = &ch;
     traffic::BulkTransfer t(world.left(0), world.right(0), bt);
     world.sim().run_until(sim::Time::seconds(300));

@@ -28,7 +28,6 @@ TEST(LayeringTest, LegalEdgesProduceNoFindings) {
       {"src/obs/m.h", "#include \"common/types.h\"\n"},
       {"src/tcp/stack.h", "#include \"net/link.h\"\n"},
       {"src/cc/registry.h", "#include \"tcp/stack.h\"\n"},
-      {"src/core/factory.h", "#include \"cc/registry.h\"\n"},
       {"src/scenario/engine.h", "#include \"exp/runner.h\"\n"},
       {"src/exp/runner.h", "#include \"check/det.h\"\n"},
       {"src/check/det.h", "#include \"trace/buf.h\"\n"},

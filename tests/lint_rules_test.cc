@@ -129,6 +129,13 @@ TEST(LintRuleTest, RawNewAndDeleteFire) {
   EXPECT_EQ(fs[1].line, 2);
 }
 
+TEST(LintRuleTest, NewHeaderAndOperatorNewAreAllowed) {
+  EXPECT_TRUE(scan_source("src/tcp/x.h", "#include <new>\n").empty());
+  EXPECT_TRUE(scan_source("src/tcp/x.h",
+                          "void* operator new(std::size_t n);\n")
+                  .empty());
+}
+
 TEST(LintRuleTest, DeletedFunctionsAreAllowed) {
   const auto fs = scan_source(
       "src/tcp/x.h",
@@ -165,7 +172,7 @@ TEST(LintRuleTest, WallClockBannedEverywhereUnderSrcExceptObs) {
       "auto n = std::chrono::steady_clock::now();\n"
       "gettimeofday(&tv, nullptr);\n";
   EXPECT_EQ(count_rule(scan_source("src/sim/x.cc", src), "wall-clock"), 3u);
-  EXPECT_EQ(count_rule(scan_source("src/core/x.cc", src), "wall-clock"), 3u);
+  EXPECT_EQ(count_rule(scan_source("src/cc/x.cc", src), "wall-clock"), 3u);
   EXPECT_EQ(count_rule(scan_source("src/exp/x.h", src), "wall-clock"), 3u);
   // src/obs is the one sanctioned wall-clock site (obs::Profiler)...
   EXPECT_TRUE(scan_source("src/obs/profile.h", src).empty());
@@ -313,7 +320,7 @@ TEST(LintRuleTest, UnorderedContainersBannedOnSimPaths) {
       "std::unordered_map<int, int> m;\n"
       "std::unordered_set<std::uint64_t> s;\n";
   for (const char* path :
-       {"src/sim/x.h", "src/net/x.h", "src/tcp/x.h", "src/core/x.h",
+       {"src/sim/x.h", "src/net/x.h", "src/tcp/x.h", "src/cc/x.h",
         "src/scenario/x.cc", "src/trace/x.cc", "src/traffic/x.h"}) {
     EXPECT_EQ(count_rule(scan_source(path, src), "unordered-container"), 3u)
         << path;

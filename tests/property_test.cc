@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/scenarios.h"
 #include "exp/world.h"
 #include "net/loss.h"
@@ -23,9 +24,15 @@ using namespace sim::literals;
 
 struct ChaosCase {
   std::uint64_t seed;
-  core::Algorithm algo;
+  const char* algo;  // cc registry name
   bool sack;
 };
+
+// Names the ctest id; gtest's default prints raw bytes, `algo`'s address
+// and any padding included, which move between builds.
+void PrintTo(const ChaosCase& c, std::ostream* os) {
+  *os << c.algo << (c.sack ? " sack" : "") << " seed " << c.seed;
+}
 
 class ChaosTransferTest : public ::testing::TestWithParam<ChaosCase> {};
 
@@ -46,7 +53,7 @@ TEST_P(ChaosTransferTest, ByteExactUnderLossAndReordering) {
   cfg.bytes = 150_KB;
   cfg.port = 5001;
   cfg.tcp = tcp_cfg;
-  cfg.factory = core::make_sender_factory(param.algo);
+  cfg.cc = cc::find(param.algo);
   traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
   world.sim().run_until(sim::Time::seconds(900));
   ASSERT_TRUE(t.done()) << "seed=" << param.seed;
@@ -55,9 +62,7 @@ TEST_P(ChaosTransferTest, ByteExactUnderLossAndReordering) {
 
 std::vector<ChaosCase> chaos_cases() {
   std::vector<ChaosCase> cases;
-  const core::Algorithm algos[] = {core::Algorithm::kReno,
-                                   core::Algorithm::kVegas,
-                                   core::Algorithm::kNewReno};
+  const char* const algos[] = {"reno", "vegas", "newreno"};
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     cases.push_back({seed, algos[seed % 3], seed % 2 == 0});
   }
@@ -67,7 +72,7 @@ std::vector<ChaosCase> chaos_cases() {
 INSTANTIATE_TEST_SUITE_P(SeedSweep, ChaosTransferTest,
                          ::testing::ValuesIn(chaos_cases()),
                          [](const auto& info) {
-                           return core::to_string(info.param.algo) +
+                           return cc::find(info.param.algo)->label +
                                   std::string(info.param.sack ? "Sack" : "") +
                                   "Seed" + std::to_string(info.param.seed);
                          });
@@ -91,7 +96,7 @@ TEST_P(VegasInvariantTest, CamAndWindowInvariantsUnderLoad) {
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = 500_KB;
   cfg.port = 5001;
-  cfg.factory = core::make_sender_factory(core::Algorithm::kVegas);
+  cfg.cc = cc::find("vegas");
   cfg.observer = &tracer;
   cfg.start_delay = sim::Time::seconds(2);
   traffic::BulkTransfer t(world.left(1), world.right(1), cfg);
@@ -128,8 +133,8 @@ TEST_P(FairnessBoundsTest, JainIndexWithinMathematicalBounds) {
   exp::FairnessParams p;
   p.connections = 6;
   p.bytes_each = 512_KB;
-  p.algo = GetParam() % 2 == 0 ? exp::AlgoSpec::vegas()
-                               : exp::AlgoSpec::reno();
+  p.algo = GetParam() % 2 == 0 ? cc::AlgoSpec::vegas()
+                               : cc::AlgoSpec::reno();
   p.seed = GetParam();
   p.timeout_s = 600;
   const auto r = exp::run_fairness(p);
@@ -164,7 +169,7 @@ TEST(ConservationTest, NothingDeliveredThatWasNeverSent) {
   traffic::BulkTransfer::Config b;
   b.bytes = 200_KB;
   b.port = 5002;
-  b.factory = core::make_sender_factory(core::Algorithm::kVegas);
+  b.cc = cc::find("vegas");
   traffic::BulkTransfer tb(world.left(1), world.right(1), b);
   world.sim().run_until(sim::Time::seconds(600));
   ASSERT_TRUE(ta.done());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "check/determinism.h"
+#include "common/fsio.h"
 #include "exp/scenarios.h"
 #include "scenario/engine.h"
 #include "trace/conn_tracer.h"
@@ -60,8 +61,8 @@ TEST(ScenarioEngineTest, Table1ReproducesCannedOneOnOneAtAnyThreadCount) {
   for (const std::size_t queue : {15u, 20u}) {
     for (const double delay : delays) {
       exp::OneOnOneParams p;
-      p.small = exp::AlgoSpec::vegas();
-      p.large = exp::AlgoSpec::vegas();
+      p.small = cc::AlgoSpec::vegas();
+      p.large = cc::AlgoSpec::vegas();
       p.queue = queue;
       p.small_delay_s = delay;
       p.seed = 1000 + queue * 10 + static_cast<std::uint64_t>(delay * 2);
@@ -105,7 +106,7 @@ TEST(ScenarioEngineTest, Table2ReproducesCannedBackgroundRuns) {
                             Probe{38, 20, 2100}}) {
     SCOPED_TRACE("cell " + std::to_string(probe.cell));
     exp::BackgroundParams p;
-    p.transfer = exp::AlgoSpec::vegas(2, 4);
+    p.transfer = cc::AlgoSpec::vegas(2, 4);
     p.queue = probe.queue;
     p.seed = probe.seed;
     trace::ConnTracer tracer;
@@ -127,6 +128,36 @@ TEST(ScenarioEngineTest, Table2ReproducesCannedBackgroundRuns) {
     EXPECT_EQ(cell.traffic[0].stats.started, canned.traffic.started);
     EXPECT_EQ(cell.traffic[0].stats.completed, canned.traffic.completed);
   }
+}
+
+TEST(ScenarioEngineTest, FlowVegasThresholdsMatchCannedAlgoSpec) {
+  // `alpha`/`beta` on table1.scn's flows reach the senders exactly as
+  // cc::AlgoSpec::vegas(1, 3) does in the canned runner, and they do
+  // change the run (cell 2: queue 15, small flow 1 s late).
+  const std::string stock =
+      *common::read_file(repo_path("examples/scenarios/table1.scn"));
+  std::string tuned = stock;
+  const std::string key = "protocol = \"vegas\"\n";
+  for (std::size_t at = tuned.find(key); at != std::string::npos;
+       at = tuned.find(key, at + 1)) {
+    tuned.insert(at + key.size(), "alpha = 1\nbeta = 3\n");
+  }
+  const auto digest = [](const std::string& text) {
+    const Scenario sc = Scenario::from_text(text, "table1.scn");
+    return scenario::run_cell(sc.cell(2), 2, sc.label(2)).flows[0].trace_digest;
+  };
+
+  exp::OneOnOneParams p;
+  p.large = cc::AlgoSpec::vegas(1, 3);
+  p.small = cc::AlgoSpec::vegas(1, 3);
+  p.queue = 15;
+  p.small_delay_s = 1.0;
+  p.seed = 1152;
+  trace::ConnTracer tracer;
+  p.observer = &tracer;
+  exp::run_one_on_one(p);
+  EXPECT_EQ(digest(tuned), check::trace_digest(tracer.buffer()));
+  EXPECT_NE(digest(tuned), digest(stock));
 }
 
 TEST(ScenarioEngineTest, EveryShippedExampleCompiles) {

@@ -4,9 +4,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <vector>
 
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "net/loss.h"
 #include "tcp/buffer.h"
@@ -218,14 +219,16 @@ TEST(SackSenderTest, DisabledByDefaultIgnoresBlocks) {
 
 // ------------------------------------------------------------- end to end
 
-// No padding bytes: gtest names each case by the raw bytes of its
-// parameter, and padding would put uninitialised memory into the name.
 struct SackE2ECase {
-  core::Algorithm algo;
-  std::uint32_t sack;  // 0 or 1
+  const char* algo;  // cc registry name
+  bool sack;
 };
-static_assert(sizeof(SackE2ECase) ==
-              sizeof(core::Algorithm) + sizeof(std::uint32_t));
+
+// Names the ctest id; gtest's default prints raw bytes, `algo`'s address
+// and any padding included, which move between builds.
+void PrintTo(const SackE2ECase& c, std::ostream* os) {
+  *os << c.algo << (c.sack ? " sack" : " no sack");
+}
 
 class SackTransferTest : public ::testing::TestWithParam<SackE2ECase> {};
 
@@ -238,12 +241,12 @@ TEST_P(SackTransferTest, ByteExactUnderLoss) {
   world.topo().bottleneck_fwd->set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.05, 73));
   tcp::TcpConfig tcp_cfg;
-  tcp_cfg.sack_enabled = param.sack != 0;
+  tcp_cfg.sack_enabled = param.sack;
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = 300_KB;
   cfg.port = 5001;
   cfg.tcp = tcp_cfg;
-  cfg.factory = core::make_sender_factory(param.algo);
+  cfg.cc = cc::find(param.algo);
   traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
   world.sim().run_until(sim::Time::seconds(600));
   ASSERT_TRUE(t.done());
@@ -252,12 +255,10 @@ TEST_P(SackTransferTest, ByteExactUnderLoss) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SackTransferTest,
-    ::testing::Values(SackE2ECase{core::Algorithm::kReno, 1},
-                      SackE2ECase{core::Algorithm::kReno, 0},
-                      SackE2ECase{core::Algorithm::kVegas, 1},
-                      SackE2ECase{core::Algorithm::kVegas, 0}),
+    ::testing::Values(SackE2ECase{"reno", true}, SackE2ECase{"reno", false},
+                      SackE2ECase{"vegas", true}, SackE2ECase{"vegas", false}),
     [](const auto& info) {
-      return core::to_string(info.param.algo) +
+      return cc::find(info.param.algo)->label +
              std::string(info.param.sack ? "Sack" : "NoSack");
     });
 

@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <memory>
 
-#include "core/factory.h"
+#include "cc/registry.h"
 #include "exp/world.h"
 #include "net/loss.h"
 #include "trace/analyzer.h"
@@ -23,7 +23,7 @@ struct TracedRun {
   traffic::TransferResult result;
 };
 
-TracedRun traced_transfer(core::Algorithm algo, ByteCount bytes,
+TracedRun traced_transfer(const char* module, ByteCount bytes,
                           double loss = 0.0, std::size_t queue = 10) {
   TracedRun run;
   net::DumbbellConfig cfg;
@@ -37,7 +37,7 @@ TracedRun traced_transfer(core::Algorithm algo, ByteCount bytes,
   traffic::BulkTransfer::Config bt;
   bt.bytes = bytes;
   bt.port = 5001;
-  bt.factory = core::make_sender_factory(algo);
+  bt.cc = cc::find(module);
   bt.observer = &run.tracer;
   traffic::BulkTransfer t(world.left(0), world.right(0), bt);
   world.sim().run_until(sim::Time::seconds(600));
@@ -47,7 +47,7 @@ TracedRun traced_transfer(core::Algorithm algo, ByteCount bytes,
 }
 
 TEST(TracerTest, RecordsLifecycleEvents) {
-  auto run = traced_transfer(core::Algorithm::kReno, 50_KB);
+  auto run = traced_transfer("reno", 50_KB);
   Analyzer az(run.tracer.buffer());
   EXPECT_EQ(az.marks(EventKind::kEstablished).size(), 1u);
   EXPECT_EQ(az.marks(EventKind::kClosed).size(), 1u);
@@ -57,7 +57,7 @@ TEST(TracerTest, RecordsLifecycleEvents) {
 }
 
 TEST(TracerTest, SummaryMatchesSenderStats) {
-  auto run = traced_transfer(core::Algorithm::kReno, 300_KB, 0.02);
+  auto run = traced_transfer("reno", 300_KB, 0.02);
   const auto summary = Analyzer(run.tracer.buffer()).summary();
   const auto& st = run.result.sender_stats;
   EXPECT_EQ(summary.segments_sent, st.segments_sent);
@@ -68,7 +68,7 @@ TEST(TracerTest, SummaryMatchesSenderStats) {
 }
 
 TEST(TracerTest, CoarseTicksPresent) {
-  auto run = traced_transfer(core::Algorithm::kReno, 200_KB);
+  auto run = traced_transfer("reno", 200_KB);
   const auto ticks =
       Analyzer(run.tracer.buffer()).marks(EventKind::kCoarseTick);
   // ~500 ms apart over several seconds of transfer.
@@ -79,7 +79,7 @@ TEST(TracerTest, CoarseTicksPresent) {
 }
 
 TEST(TracerTest, LossLinesMatchRetransmittedOffsets) {
-  auto run = traced_transfer(core::Algorithm::kReno, 300_KB, 0.05);
+  auto run = traced_transfer("reno", 300_KB, 0.05);
   Analyzer az(run.tracer.buffer());
   const auto losses = az.presumed_loss_times();
   ASSERT_FALSE(losses.empty());
@@ -93,8 +93,8 @@ TEST(TracerTest, LossLinesMatchRetransmittedOffsets) {
 }
 
 TEST(TracerTest, CamSeriesOnlyForVegas) {
-  auto reno = traced_transfer(core::Algorithm::kReno, 100_KB);
-  auto vegas = traced_transfer(core::Algorithm::kVegas, 100_KB);
+  auto reno = traced_transfer("reno", 100_KB);
+  auto vegas = traced_transfer("vegas", 100_KB);
   EXPECT_TRUE(Analyzer(reno.tracer.buffer())
                   .series(EventKind::kCamExpected)
                   .empty());
@@ -111,7 +111,7 @@ TEST(TracerTest, CamSeriesOnlyForVegas) {
 }
 
 TEST(TracerTest, WindowSeriesIsStepwiseAndBounded) {
-  auto run = traced_transfer(core::Algorithm::kVegas, 200_KB);
+  auto run = traced_transfer("vegas", 200_KB);
   const auto cwnd = Analyzer(run.tracer.buffer()).series(EventKind::kCwnd);
   ASSERT_FALSE(cwnd.empty());
   for (const auto& p : cwnd) {
@@ -121,7 +121,7 @@ TEST(TracerTest, WindowSeriesIsStepwiseAndBounded) {
 }
 
 TEST(AnalyzerTest, SendingRateWindowAverage) {
-  auto run = traced_transfer(core::Algorithm::kVegas, 200_KB, 0.0, 20);
+  auto run = traced_transfer("vegas", 200_KB, 0.0, 20);
   const auto rate = Analyzer(run.tracer.buffer()).sending_rate(12);
   ASSERT_FALSE(rate.empty());
   // Steady-state rate should be within a sane band around the bottleneck.

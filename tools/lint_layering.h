@@ -2,7 +2,7 @@
 //
 // src/ is layered; the build has always honored the order by
 // convention, and the coming sharded executor (ROADMAP) leans on it
-// harder: shards own {sim,net,tcp,core} state, the harness above fans
+// harder: shards own {sim,net,tcp,cc} state, the harness above fans
 // out.  This checker makes the contract machine-checked:
 //
 //   - every `#include "..."` edge between src/ layers must be in the
@@ -23,12 +23,11 @@
 //   net             links, queues, routers, packets      → sim + below
 //   tcp             transport                            → net + below
 //   cc              CongOps module zoo and registry      → tcp + below
-//   core            algorithm-name/factory compat shim   → cc + below
 //   trace           trace buffer and analyzers           → tcp + below
 //   traffic         tcplib-style workloads               → tcp + below
 //   check           protocol-invariant observer — observes everything
 //                   below the harness                    → traffic/trace/
-//                                                          core + below
+//                                                          cc + below
 //   exp             experiment harness, parallel runner  → check + below
 //   scenario        declarative .scn engine              → exp + below
 //   sweep           experiment service: result cache,
@@ -79,21 +78,20 @@ inline const std::map<std::string, std::set<std::string>>& allowed_deps() {
       {"net", {"net", "sim", "common", "obs"}},
       {"tcp", {"tcp", "net", "sim", "common", "obs"}},
       {"cc", {"cc", "tcp", "net", "sim", "common", "obs"}},
-      {"core", {"core", "cc", "tcp", "net", "sim", "common", "obs"}},
       {"trace", {"trace", "tcp", "net", "sim", "common", "obs"}},
       {"traffic", {"traffic", "tcp", "net", "sim", "common", "obs"}},
       {"check",
-       {"check", "trace", "traffic", "core", "cc", "tcp", "net", "sim",
-        "stats", "common", "obs"}},
+       {"check", "trace", "traffic", "cc", "tcp", "net", "sim", "stats",
+        "common", "obs"}},
       {"exp",
-       {"exp", "check", "trace", "traffic", "core", "cc", "tcp", "net", "sim",
-        "stats", "common", "obs"}},
+       {"exp", "check", "trace", "traffic", "cc", "tcp", "net", "sim", "stats",
+        "common", "obs"}},
       {"scenario",
-       {"scenario", "exp", "check", "trace", "traffic", "core", "cc", "tcp",
-        "net", "sim", "stats", "common", "obs"}},
+       {"scenario", "exp", "check", "trace", "traffic", "cc", "tcp", "net",
+        "sim", "stats", "common", "obs"}},
       {"sweep",
-       {"sweep", "scenario", "exp", "check", "trace", "traffic", "core", "cc",
-        "tcp", "net", "sim", "stats", "common", "obs"}},
+       {"sweep", "scenario", "exp", "check", "trace", "traffic", "cc", "tcp",
+        "net", "sim", "stats", "common", "obs"}},
   };
   return kAllowed;
 }

@@ -59,7 +59,7 @@
 // The determinism family (unordered-container, pointer-keyed,
 // mutable-static) guards the contract the sharded parallel executor
 // will be built on (ROADMAP "sharded deterministic simulation"): its
-// zone is the sim-path layers src/{sim,net,tcp,cc,core,scenario,trace,
+// zone is the sim-path layers src/{sim,net,tcp,cc,scenario,trace,
 // traffic}.  src/obs is the sanctioned wall-clock site, src/exp hosts
 // the (threaded) harness, src/check is an observer — those three are
 // covered by the narrower rules that apply to them.
@@ -147,7 +147,7 @@ inline bool raw_rng_zone(std::string_view path) {
 /// mutable-static): every layer on the simulation path.
 inline bool determinism_zone(std::string_view path) {
   return detail::in_any_dir(
-      path, {"src/sim/", "src/net/", "src/tcp/", "src/cc/", "src/core/",
+      path, {"src/sim/", "src/net/", "src/tcp/", "src/cc/",
              "src/scenario/", "src/trace/", "src/traffic/"});
 }
 
@@ -184,11 +184,17 @@ inline bool concurrency_zone(std::string_view path) {
 // Rule hooks.
 
 inline void rule_raw_new(const RuleCtx& ctx, std::vector<Finding>& out) {
+  int directive_line = 0;  // `#include <new>` names a header, not an expr
   for (std::size_t i = 0; i < ctx.toks.size(); ++i) {
-    if (detail::is_ident(ctx.toks[i], "new")) {
-      detail::add(ctx, out, ctx.toks[i], "raw-new",
-                  "raw new expression; use std::make_unique or a container");
+    const Token& t = ctx.toks[i];
+    if (detail::is_punct(t, "#") &&
+        (i == 0 || ctx.toks[i - 1].line != t.line)) {
+      directive_line = t.line;
     }
+    if (!detail::is_ident(t, "new") || t.line == directive_line) continue;
+    if (i > 0 && detail::is_ident(ctx.toks[i - 1], "operator")) continue;
+    detail::add(ctx, out, t, "raw-new",
+                "raw new expression; use std::make_unique or a container");
   }
 }
 

@@ -188,7 +188,7 @@ int usage(std::FILE* out, int code) {
   return code;
 }
 
-exp::AlgoSpec algo_from(const Flags& flags, const char* key = "algo") {
+cc::AlgoSpec algo_from(const Flags& flags, const char* key = "algo") {
   const std::string name = flags.get_string(key, "vegas");
   const tcp::CongOps* ops = cc::find(name);
   if (ops == nullptr) {
@@ -197,7 +197,7 @@ exp::AlgoSpec algo_from(const Flags& flags, const char* key = "algo") {
                  name.c_str(), cc::closest(name).c_str());
     std::exit(2);
   }
-  exp::AlgoSpec spec = exp::AlgoSpec::named(std::string(ops->name));
+  cc::AlgoSpec spec = cc::AlgoSpec::named(std::string(ops->name));
   spec.alpha = flags.get_double("alpha", 2.0);
   spec.beta = flags.get_double("beta", 4.0);
   spec.gamma = flags.get_double("gamma", 1.0);
@@ -258,15 +258,14 @@ int cmd_solo(const Flags& flags) {
   tcp_cfg.sack_enabled = flags.get_bool("sack");
   tcp_cfg.vegas_paced_slow_start = flags.get_bool("paced-ss");
   tcp_cfg.vegas_ss_bandwidth_check = flags.get_bool("bw-check");
-  tcp_cfg.vegas_alpha = flags.get_double("alpha", 2.0);
-  tcp_cfg.vegas_beta = flags.get_double("beta", 4.0);
-  tcp_cfg.vegas_gamma = flags.get_double("gamma", 1.0);
+  const cc::AlgoSpec algo = algo_from(flags);
+  algo.apply(tcp_cfg);
 
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = flags.get_int("bytes-kb", 1024) * 1024;
   cfg.port = 5001;
   cfg.tcp = tcp_cfg;
-  cfg.factory = algo_from(flags).factory();
+  cfg.cc = &algo.ops();
   traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
   world.sim().run_until(sim::Time::seconds(flags.get_double("timeout", 600)));
 

@@ -54,7 +54,7 @@ int cmd_record(const Flags& flags) {
   traffic::BulkTransfer::Config cfg;
   cfg.bytes = flags.get_int("bytes-kb", 1024) * 1024;
   cfg.port = 5001;
-  cfg.factory = cc::make_factory(ops->name);
+  cfg.cc = ops;
   cfg.observer = &tracer;
   traffic::BulkTransfer t(world.left(0), world.right(0), cfg);
   world.sim().run_until(sim::Time::seconds(600));
