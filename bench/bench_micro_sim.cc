@@ -1,5 +1,5 @@
-// Micro-benchmarks of the simulator substrate itself: event queue
-// schedule/pop throughput, cancel churn, timer churn, and
+// Micro-benchmarks of the simulator substrate itself: event-chain
+// throughput through the timing wheel, timer churn, and
 // packets-per-second through a loaded link — the numbers that bound
 // every experiment's wall time.
 //
@@ -24,7 +24,6 @@
 #include "net/packet.h"
 #include "obs/profile.h"
 #include "obs/registry.h"
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
 
@@ -38,73 +37,16 @@ double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-struct Lcg {
-  std::uint64_t x = 99;
-  std::int64_t next(std::int64_t mod) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<std::int64_t>(x % static_cast<std::uint64_t>(mod));
-  }
-};
-
-// Steady-state allocation counters: deltas accumulated after each
-// workload's first (warm-up) round.  All of them must be zero for the
-// "zero allocations in steady state" claim to hold.
+// Steady-state allocation counters: callbacks boxed by the wheel, and
+// packet-pool growth after the link workload's first (warm-up) round.
+// All of them must be zero for the "zero allocations in steady state"
+// claim to hold.
 struct SteadyState {
-  std::uint64_t slot_allocs = 0;
-  std::uint64_t heap_grows = 0;
   std::uint64_t boxed_actions = 0;
   std::uint64_t pool_capacity_growth = 0;
 };
 
 SteadyState g_steady;
-
-double wl_schedule_pop(int n, int rounds) {
-  sim::EventQueue q;
-  std::uint64_t sink = 0;
-  Lcg lcg;
-  sim::EventQueue::Metrics warm;
-  const auto t0 = Clock::now();
-  for (int r = 0; r < rounds; ++r) {
-    for (int i = 0; i < n; ++i) {
-      q.schedule(sim::Time::nanoseconds(lcg.next(1000000)), [] {});
-    }
-    while (!q.empty()) sink += q.pop().id;
-    if (r == 0) warm = q.metrics();
-  }
-  const double el = secs_since(t0);
-  if (sink == 0) std::fprintf(stderr, "impossible\n");
-  if (rounds > 1) {
-    g_steady.slot_allocs += q.metrics().slot_allocs - warm.slot_allocs;
-    g_steady.heap_grows += q.metrics().heap_grows - warm.heap_grows;
-  }
-  g_steady.boxed_actions += q.metrics().boxed_actions;
-  return static_cast<double>(n) * rounds / el;
-}
-
-double wl_cancel_churn(int n, int rounds) {
-  sim::EventQueue q;
-  std::vector<sim::EventId> ids;
-  ids.reserve(static_cast<std::size_t>(n));
-  Lcg lcg;
-  sim::EventQueue::Metrics warm;
-  const auto t0 = Clock::now();
-  for (int r = 0; r < rounds; ++r) {
-    ids.clear();
-    for (int i = 0; i < n; ++i) {
-      ids.push_back(
-          q.schedule(sim::Time::nanoseconds(lcg.next(1000000)), [] {}));
-    }
-    for (const sim::EventId id : ids) q.cancel(id);
-    if (r == 0) warm = q.metrics();
-  }
-  const double el = secs_since(t0);
-  if (rounds > 1) {
-    g_steady.slot_allocs += q.metrics().slot_allocs - warm.slot_allocs;
-    g_steady.heap_grows += q.metrics().heap_grows - warm.heap_grows;
-  }
-  g_steady.boxed_actions += q.metrics().boxed_actions;
-  return static_cast<double>(n) * rounds / el;
-}
 
 struct Hop {
   sim::Simulator* s;
@@ -123,7 +65,7 @@ double wl_event_chain(long total) {
   s.schedule(sim::Time::microseconds(1), Hop{&s, &remaining});
   s.run();
   const double el = secs_since(t0);
-  g_steady.boxed_actions += s.queue_metrics().boxed_actions;
+  g_steady.boxed_actions += s.wheel_metrics().boxed_actions;
   return static_cast<double>(s.events_executed()) / el;
 }
 
@@ -140,7 +82,7 @@ double wl_event_chain_registered(long total) {
   s.schedule(sim::Time::microseconds(1), Hop{&s, &remaining});
   s.run();
   const double el = secs_since(t0);
-  g_steady.boxed_actions += s.queue_metrics().boxed_actions;
+  g_steady.boxed_actions += s.wheel_metrics().boxed_actions;
   return static_cast<double>(s.events_executed()) / el;
 }
 
@@ -152,7 +94,7 @@ double wl_timer_churn(long total) {
     t.restart(sim::Time::milliseconds(1));
     t.stop();
   }
-  g_steady.boxed_actions += s.queue_metrics().boxed_actions;
+  g_steady.boxed_actions += s.wheel_metrics().boxed_actions;
   return static_cast<double>(total) / secs_since(t0);
 }
 
@@ -261,14 +203,10 @@ void write_json(const std::vector<Metric>& metrics, double scale,
   std::fprintf(f,
                "  },\n"
                "  \"steady_state\": {\n"
-               "    \"event_queue_slot_allocs_after_warmup\": %llu,\n"
-               "    \"event_queue_heap_grows_after_warmup\": %llu,\n"
                "    \"boxed_actions\": %llu,\n"
                "    \"packet_pool_capacity_growth_after_warmup\": %llu,\n"
                "    \"packet_pool_outstanding_at_end\": %llu\n"
                "  },\n",
-               static_cast<unsigned long long>(g_steady.slot_allocs),
-               static_cast<unsigned long long>(g_steady.heap_grows),
                static_cast<unsigned long long>(g_steady.boxed_actions),
                static_cast<unsigned long long>(g_steady.pool_capacity_growth),
                static_cast<unsigned long long>(
@@ -293,20 +231,11 @@ void write_json(const std::vector<Metric>& metrics, double scale,
 int main() {
   bench::header("Micro", "Simulator substrate hot-path throughput");
   const double scale = bench::run_scale();
-  const int rounds10 = bench::scaled(10);
   const int rounds5 = bench::scaled(5);
   const long chain = std::max(10000L, static_cast<long>(1000000 * scale));
 
   obs::Profiler prof;
-  double schedule_pop = 0, cancel_churn = 0, timer_churn = 0, link_tput = 0;
-  {
-    auto p = prof.scope("schedule_pop");
-    schedule_pop = wl_schedule_pop(100000, rounds10);
-  }
-  {
-    auto p = prof.scope("cancel_churn");
-    cancel_churn = wl_cancel_churn(100000, rounds10);
-  }
+  double timer_churn = 0, link_tput = 0;
   // The overhead check: best-of-3 interleaved runs of the identical
   // chain, bare vs. with the full simulator counter set bound into a
   // registry.  Acceptance wants the registered loop within 2%.
@@ -334,8 +263,6 @@ int main() {
   }
 
   std::vector<Metric> metrics{
-      {"event_queue_schedule_pop_events_per_sec", schedule_pop},
-      {"event_queue_cancel_churn_ops_per_sec", cancel_churn},
       {"simulator_event_chain_events_per_sec", chain_bare},
       {"simulator_event_chain_registered_events_per_sec", chain_registered},
       {"timer_restart_churn_ops_per_sec", timer_churn},
@@ -367,10 +294,7 @@ int main() {
   table.print();
 
   std::printf("\nsteady-state allocations (all must be 0): "
-              "slot_allocs=%llu heap_grows=%llu boxed_actions=%llu "
-              "pool_growth=%llu outstanding=%llu\n",
-              static_cast<unsigned long long>(g_steady.slot_allocs),
-              static_cast<unsigned long long>(g_steady.heap_grows),
+              "boxed_actions=%llu pool_growth=%llu outstanding=%llu\n",
               static_cast<unsigned long long>(g_steady.boxed_actions),
               static_cast<unsigned long long>(g_steady.pool_capacity_growth),
               static_cast<unsigned long long>(

@@ -2,7 +2,7 @@
 //
 // The scenario's topology is partitioned into shards at link boundaries
 // (scenario/partition.h); each shard maps to one Simulator LANE — a
-// complete event queue + timing wheel + clock — and lanes execute on a
+// complete timing wheel + clock — and lanes execute on a
 // fixed worker thread (lane l runs on worker l % threads, every round,
 // so a lane's packets always recycle through the same per-lane pool).
 //

@@ -10,8 +10,8 @@
 // In-flight packets ride in per-link slots, not in event closures: the
 // single serialization slot is a member, and propagating packets sit in
 // a ticket-indexed ring (deque) with the event capturing only the
-// ticket.  Event actions stay small (16 bytes), which keeps event-queue
-// sifts cheap at high rates, and delivery stays correct under jitter or
+// ticket.  Event actions stay small (16 bytes), so they fit the timing
+// wheel's inline action storage, and delivery stays correct under jitter or
 // set_prop_delay() reorders because lookup is by ticket, not FIFO head.
 #pragma once
 

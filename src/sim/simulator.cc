@@ -21,7 +21,7 @@ void Simulator::set_lanes(int n) {
   ensure(n >= 1 && n <= kMaxLanes, "set_lanes: lane count out of range");
   ensure(lanes_.size() == 1, "set_lanes: already sharded");
   Lane& l0 = *lanes_.front();
-  ensure(l0.events_executed == 0 && l0.queue.size() == 0 && l0.wheel.empty(),
+  ensure(l0.events_executed == 0 && l0.wheel.empty(),
          "set_lanes: must be called before any events exist");
   for (int i = 1; i < n; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
@@ -39,7 +39,6 @@ Simulator::LaneScope::~LaneScope() { t_active_ = prev_; }
 
 void Simulator::register_metrics(obs::Registry& reg) const {
   reg.bind_counter("sim.events_executed", &lanes_.front()->events_executed);
-  lanes_.front()->queue.register_metrics(reg, "sim.event_queue");
   lanes_.front()->wheel.register_metrics(reg, "sim.timing_wheel");
 }
 
@@ -51,48 +50,30 @@ std::uint64_t Simulator::events_executed() const {
 
 std::size_t Simulator::events_pending() const {
   std::size_t total = 0;
-  for (const auto& l : lanes_) total += l->queue.size() + l->wheel.size();
+  for (const auto& l : lanes_) total += l->wheel.size();
   return total;
 }
 
-EventId Simulator::schedule(Time delay, EventQueue::Action action) {
-  if (delay < Time::zero()) delay = Time::zero();
-  Lane& l = lane();
-  return tag_id(l.index,
-                l.queue.schedule(l.now + delay, l.next_seq++,
-                                 std::move(action)));
-}
-
-EventId Simulator::schedule_at(Time at, EventQueue::Action action) {
-  Lane& l = lane();
-  ensure(at >= l.now, "cannot schedule into the past");
-  return tag_id(l.index, l.queue.schedule(at, l.next_seq++, std::move(action)));
-}
-
-EventId Simulator::lane_schedule_at(int lane, Time at,
-                                    EventQueue::Action action) {
-  Lane& l = *lanes_[static_cast<std::size_t>(lane)];
-  ensure(at >= l.now, "lane_schedule_at: cross-shard post into the past "
-                      "(lookahead contract violated)");
-  return tag_id(l.index, l.queue.schedule(at, l.next_seq++, std::move(action)));
-}
-
-void Simulator::cancel(EventId id) {
-  if (id == kNoEvent) return;
-  lane_of_id(id).queue.cancel(untag_id(id));
-}
-
-bool Simulator::pending(EventId id) const {
-  if (id == kNoEvent) return false;
-  return lane_of_id(id).queue.pending(untag_id(id));
-}
-
-TimerId Simulator::schedule_timer(Time delay, TimingWheel::Action action) {
+TimerId Simulator::schedule(Time delay, TimingWheel::Action action) {
   if (delay < Time::zero()) delay = Time::zero();
   Lane& l = lane();
   return tag_id(l.index,
                 l.wheel.schedule(l.now + delay, l.next_seq++,
                                  std::move(action)));
+}
+
+TimerId Simulator::schedule_at(Time at, TimingWheel::Action action) {
+  Lane& l = lane();
+  ensure(at >= l.now, "cannot schedule into the past");
+  return tag_id(l.index, l.wheel.schedule(at, l.next_seq++, std::move(action)));
+}
+
+TimerId Simulator::lane_schedule_at(int lane, Time at,
+                                    TimingWheel::Action action) {
+  Lane& l = *lanes_[static_cast<std::size_t>(lane)];
+  ensure(at >= l.now, "lane_schedule_at: cross-shard post into the past "
+                      "(lookahead contract violated)");
+  return tag_id(l.index, l.wheel.schedule(at, l.next_seq++, std::move(action)));
 }
 
 bool Simulator::restart_timer(TimerId id, Time delay) {
@@ -114,6 +95,20 @@ bool Simulator::timer_pending(TimerId id) const {
   return lane_of_id(id).wheel.pending(untag_id(id));
 }
 
+bool Simulator::run_lane(Lane& l, Time last, bool stoppable) {
+  for (;;) {
+    if (stoppable && stopped_) return false;
+    const auto key = l.wheel.next_key();
+    if (!key.has_value()) return false;
+    if (key->time > last) return true;
+    auto fired = l.wheel.pop();
+    ensure(fired.time >= l.now, "timing wheel went backwards");
+    l.now = fired.time;
+    ++l.events_executed;
+    fired.action();
+  }
+}
+
 void Simulator::run() { run_until(Time::max()); }
 
 void Simulator::run_until(Time deadline) {
@@ -121,101 +116,17 @@ void Simulator::run_until(Time deadline) {
          "run_until on a sharded simulator; drive it via exp::ShardExecutor");
   Lane& l = *lanes_.front();
   stopped_ = false;
-  while (!stopped_) {
-    // The next event is the (time, seq) minimum across the one-shot
-    // queue and the timing wheel; the shared sequence counter makes the
-    // comparison a total order identical to a single queue's.
-    const auto qk = l.queue.next_key();
-    const auto wk = l.wheel.next_key();
-    bool from_wheel;
-    Time next;
-    if (qk.has_value() && wk.has_value()) {
-      from_wheel = wk->time < qk->time ||
-                   (wk->time == qk->time && wk->seq < qk->seq);
-      next = from_wheel ? wk->time : qk->time;
-    } else if (qk.has_value()) {
-      from_wheel = false;
-      next = qk->time;
-    } else if (wk.has_value()) {
-      from_wheel = true;
-      next = wk->time;
-    } else {
-      break;
-    }
-    if (next > deadline) {
-      l.now = deadline;
-      break;
-    }
-    if (from_wheel) {
-      auto fired = l.wheel.pop();
-      ensure(fired.time >= l.now, "timing wheel went backwards");
-      l.now = fired.time;
-      ++l.events_executed;
-      fired.action();
-    } else {
-      auto fired = l.queue.pop();
-      ensure(fired.time >= l.now, "event queue went backwards");
-      l.now = fired.time;
-      ++l.events_executed;
-      fired.action();
-    }
-  }
-}
-
-std::optional<EventQueue::Key> Simulator::lane_next_key(int lane) {
-  Lane& l = *lanes_[static_cast<std::size_t>(lane)];
-  const auto qk = l.queue.next_key();
-  const auto wk = l.wheel.next_key();
-  if (!qk.has_value()) {
-    if (!wk.has_value()) return std::nullopt;
-    return EventQueue::Key{wk->time, wk->seq};
-  }
-  if (!wk.has_value()) return qk;
-  if (wk->time < qk->time || (wk->time == qk->time && wk->seq < qk->seq)) {
-    return EventQueue::Key{wk->time, wk->seq};
-  }
-  return qk;
+  if (run_lane(l, deadline, /*stoppable=*/true)) l.now = deadline;
 }
 
 void Simulator::lane_run_before(int lane, Time bound) {
   Lane& l = *lanes_[static_cast<std::size_t>(lane)];
   Lane* prev = t_active_;
   t_active_ = &l;
-  for (;;) {
-    const auto qk = l.queue.next_key();
-    const auto wk = l.wheel.next_key();
-    bool from_wheel;
-    Time next;
-    if (qk.has_value() && wk.has_value()) {
-      from_wheel = wk->time < qk->time ||
-                   (wk->time == qk->time && wk->seq < qk->seq);
-      next = from_wheel ? wk->time : qk->time;
-    } else if (qk.has_value()) {
-      from_wheel = false;
-      next = qk->time;
-    } else if (wk.has_value()) {
-      from_wheel = true;
-      next = wk->time;
-    } else {
-      break;
-    }
-    // Strictly-before: events at exactly `bound` belong to the next
-    // window, AFTER the barrier drains any cross-shard posts due then.
-    if (next >= bound) break;
-    if (from_wheel) {
-      auto fired = l.wheel.pop();
-      ensure(fired.time >= l.now, "timing wheel went backwards");
-      l.now = fired.time;
-      ++l.events_executed;
-      fired.action();
-    } else {
-      auto fired = l.queue.pop();
-      ensure(fired.time >= l.now, "event queue went backwards");
-      l.now = fired.time;
-      ++l.events_executed;
-      fired.action();
-    }
-  }
+  // Strictly-before: events at exactly `bound` belong to the next
+  // window, AFTER the barrier drains any cross-shard posts due then.
+  // A sharded run ignores stop(): it is single-lane only.
+  run_lane(l, bound - Time::nanoseconds(1), /*stoppable=*/false);
   t_active_ = prev;
 }
 

@@ -6,34 +6,34 @@
 // the paper values in its x-kernel simulator (§2.1): the simulated hosts
 // run the actual implementation, not an abstract model.
 //
-// Two pending-event structures back the loop: the EventQueue heap for
-// one-shot events (packet arrivals, app callbacks) and a hierarchical
-// TimingWheel for the timer path (sim/timing_wheel.h), where
-// restart/stop churn must be O(1).  Both draw insertion sequence
-// numbers from one shared counter, and the loop pops the global
-// (time, seq) minimum — so firing order is bit-identical to the old
-// single-queue design and trace digests are unchanged.
+// One pending-event structure backs the loop: a hierarchical
+// TimingWheel (sim/timing_wheel.h) holds every event — one-shot
+// packet arrivals and app callbacks as well as timers, whose
+// restart/stop churn must be O(1).  Each event carries an insertion
+// sequence number from the lane's counter, and the wheel pops the exact
+// (time, seq) minimum, so events at the same instant fire in the order
+// they were scheduled.
 //
 // Sharded execution (docs/DESIGN.md "shard determinism contract"): a
 // Simulator can be split into LANES, one per topology shard.  Every
-// lane is a complete event engine — its own queue, wheel, clock and
-// sequence counter — and the conservative parallel executor
+// lane is a complete event engine — its own wheel, clock and sequence
+// counter — and the conservative parallel executor
 // (exp::ShardExecutor) runs lanes on worker threads in lookahead-wide
 // time windows.  Components are lane-agnostic: they keep their plain
 // `Simulator&` and every schedule/cancel call routes to the lane whose
 // event is currently executing on this thread (a thread-local active
 // lane set by the lane run loop, or by LaneScope during setup).  With
-// one lane — the default — the routing collapses to the single
-// queue/wheel pair and behaviour is bit-identical to the historical
-// single-threaded simulator.
+// one lane — the default — the routing collapses to the single wheel
+// and behaviour is bit-identical to the historical single-threaded
+// simulator.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "sim/timing_wheel.h"
 
@@ -54,18 +54,16 @@ class Simulator {
 
   /// Schedules `action` after `delay` from now.  Negative delays are
   /// clamped to zero (fires this instant, after already-queued events).
-  EventId schedule(Time delay, EventQueue::Action action);
+  /// The returned id works with cancel_timer/timer_pending.
+  TimerId schedule(Time delay, TimingWheel::Action action);
 
   /// Schedules at an absolute time, which must not be in the past.
-  EventId schedule_at(Time at, EventQueue::Action action);
+  TimerId schedule_at(Time at, TimingWheel::Action action);
 
-  void cancel(EventId id);
-  bool pending(EventId id) const;
-
-  /// Timer-path scheduling: O(1) arm on the timing wheel instead of a
-  /// heap entry.  Used by sim::Timer/PeriodicTimer; negative delays
-  /// clamp to zero like schedule().
-  TimerId schedule_timer(Time delay, TimingWheel::Action action);
+  /// The name sim::Timer/PeriodicTimer arm through; same as schedule().
+  TimerId schedule_timer(Time delay, TimingWheel::Action action) {
+    return schedule(delay, std::move(action));
+  }
 
   /// Timer::restart() fast path: moves a pending timer to now()+delay
   /// in place, keeping its callback (ordering identical to cancel +
@@ -75,16 +73,17 @@ class Simulator {
   void cancel_timer(TimerId id);
   bool timer_pending(TimerId id) const;
 
-  /// Runs until the event queue drains or stop() is called.
+  /// Runs until no event is pending or stop() is called.
   /// Single-lane only; sharded simulators run via exp::ShardExecutor.
   void run();
 
   /// Runs until simulated time reaches `deadline` (events at exactly
-  /// `deadline` still fire), the queue drains, or stop() is called.
+  /// `deadline` still fire), no event is pending, or stop() is called.
   /// Single-lane only.
   void run_until(Time deadline);
 
   /// Requests that the current run() return after the in-flight event.
+  /// Single-lane only: the lane loop of a sharded run ignores it.
   void stop() { stopped_ = true; }
 
   /// Number of events executed since construction, summed over lanes
@@ -93,20 +92,15 @@ class Simulator {
 
   std::size_t events_pending() const;
 
-  /// Event-queue allocation/behaviour counters (micro-benchmarks).
-  /// Lane 0 in sharded mode; see lane_queue_metrics for the rest.
-  const EventQueue::Metrics& queue_metrics() const {
-    return lanes_.front()->queue.metrics();
-  }
-
-  /// Timing-wheel counters (macro benchmarks, zero-alloc assertions).
+  /// Timing-wheel counters (benchmarks, zero-alloc assertions).  Lane 0
+  /// in sharded mode; see lane_wheel_metrics for the rest.
   const TimingWheel::Metrics& wheel_metrics() const {
     return lanes_.front()->wheel.metrics();
   }
 
   /// Binds the simulator's counters into `reg`: "sim.events_executed"
-  /// plus "sim.event_queue.*" and "sim.timing_wheel.*" (lane 0; the
-  /// scenario engine runs sharded cells without a metrics registry).
+  /// plus "sim.timing_wheel.*" (lane 0; the scenario engine runs
+  /// sharded cells without a metrics registry).
   void register_metrics(obs::Registry& reg) const;
 
   // --- sharded execution (exp::ShardExecutor) -----------------------------
@@ -139,8 +133,10 @@ class Simulator {
   };
 
   /// (time, seq) of the lane's earliest pending event, if any.
-  /// Non-const: peeking compacts lazily-cancelled heads.
-  std::optional<EventQueue::Key> lane_next_key(int lane);
+  /// Non-const: peeking caches the wheel's find-min.
+  std::optional<TimingWheel::Key> lane_next_key(int lane) {
+    return lanes_[static_cast<std::size_t>(lane)]->wheel.next_key();
+  }
 
   /// Runs every event of `lane` with time STRICTLY BEFORE `bound`,
   /// advancing the lane clock to each.  The executor's window body:
@@ -154,7 +150,7 @@ class Simulator {
   /// Schedules into a specific lane at an absolute time with the lane's
   /// own sequence counter — the boundary-drain insertion path.  The
   /// caller must be the lane's owning thread (packet-pool confinement).
-  EventId lane_schedule_at(int lane, Time at, EventQueue::Action action);
+  TimerId lane_schedule_at(int lane, Time at, TimingWheel::Action action);
 
   std::uint64_t lane_events_executed(int lane) const {
     return lanes_[static_cast<std::size_t>(lane)]->events_executed;
@@ -164,9 +160,6 @@ class Simulator {
   }
   const TimingWheel::Metrics& lane_wheel_metrics(int lane) const {
     return lanes_[static_cast<std::size_t>(lane)]->wheel.metrics();
-  }
-  const EventQueue::Metrics& lane_queue_metrics(int lane) const {
-    return lanes_[static_cast<std::size_t>(lane)]->queue.metrics();
   }
 
  private:
@@ -178,7 +171,6 @@ class Simulator {
   struct Lane {
     Simulator* owner = nullptr;
     int index = 0;
-    EventQueue queue;
     TimingWheel wheel;
     Time now;
     std::uint64_t next_seq = 0;
@@ -186,7 +178,7 @@ class Simulator {
   };
 
   // Ids carry their lane in the top bits so cancel/pending/restart
-  // resolve against the right queue/wheel no matter which thread (or
+  // resolve against the right wheel no matter which thread (or
   // teardown path) holds the handle.  Lane 0 tags as 0, so single-lane
   // ids are bit-identical to the historical ones.
   static constexpr int kLaneShift = 58;
@@ -199,6 +191,12 @@ class Simulator {
     const auto l = static_cast<std::size_t>(id >> kLaneShift);
     return *lanes_[l < lanes_.size() ? l : 0];
   }
+
+  /// The one pop loop: runs `l`'s events in (time, seq) order while the
+  /// next is due at or before `last`.  Returns true when it stops at an
+  /// event due after `last`; false when the lane drains or, if
+  /// `stoppable`, after the event during which stop() was called.
+  bool run_lane(Lane& l, Time last, bool stoppable);
 
   /// The lane this thread is currently executing in (run loop or
   /// LaneScope), else lane 0.  The owner check rejects an active lane

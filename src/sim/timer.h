@@ -4,8 +4,8 @@
 // replaces any pending expiry, stop() is idempotent, and the callback is
 // fixed at construction so rearming never allocates a new closure chain.
 //
-// Timers live on the simulator's hierarchical timing wheel, not the
-// event heap: restart()/stop() are O(1) regardless of how many timers
+// Timers live on the simulator's hierarchical timing wheel, like every
+// other event: restart()/stop() are O(1) regardless of how many events
 // are pending, which is what keeps 10,000-flow runs (one RTO rearm per
 // segment, one coarse tick per connection) flat.  Callbacks are
 // common::SmallFn — a `[this]` capture stays inline, so arming allocates

@@ -21,12 +21,14 @@ void TimingWheel::register_metrics(obs::Registry& reg,
   reg.bind_counter(prefix + ".max_live", metrics_.max_live);
 }
 
+int TimingWheel::top_changed_level(std::uint64_t a, std::uint64_t b) {
+  const std::uint64_t diff = a ^ b;
+  return diff == 0 ? 0 : (63 - __builtin_clzll(diff)) / kSlotBits;
+}
+
 int TimingWheel::level_for(std::uint64_t tick) const {
-  for (int k = 0; k < kLevels; ++k) {
-    const int shift = kSlotBits * (k + 1);
-    if ((tick >> shift) == (cur_tick_ >> shift)) return k;
-  }
-  return -1;  // beyond the wheel horizon -> overflow list
+  const int k = top_changed_level(tick, cur_tick_);
+  return k < kLevels ? k : -1;  // beyond the wheel horizon -> overflow list
 }
 
 void TimingWheel::link(std::uint32_t idx) {
@@ -160,15 +162,15 @@ bool TimingWheel::pending(TimerId id) const {
 void TimingWheel::advance_to(Time t) {
   const std::uint64_t target = tick_of(t);
   if (target <= cur_tick_) return;
-  const std::uint64_t old = cur_tick_;
+  const int top = std::min(top_changed_level(cur_tick_, target), kLevels - 1);
   cur_tick_ = target;
-  // Top-down: at each level whose block index changed, the bucket the
-  // new cursor lands in holds entries that now belong at lower levels.
-  // Every other bucket between old and new cursor is empty, because the
-  // caller guarantees t does not exceed the earliest live deadline.
-  for (int k = kLevels - 1; k >= 1; --k) {
+  // Top-down: at each level whose block index changed (every level from
+  // 1 up to `top`), the bucket the new cursor lands in holds entries
+  // that now belong at lower levels.  Every other bucket between old and
+  // new cursor is empty, because the caller guarantees t does not exceed
+  // the earliest live deadline.
+  for (int k = top; k >= 1; --k) {
     const int shift = kSlotBits * k;
-    if ((old >> shift) == (target >> shift)) continue;
     const auto slot =
         static_cast<std::uint32_t>((target >> shift) & (kSlots - 1));
     const std::uint32_t b = static_cast<std::uint32_t>(k) * kSlots + slot;
@@ -197,6 +199,7 @@ std::uint32_t TimingWheel::scan_min() {
     const auto slot = static_cast<std::uint32_t>(__builtin_ctzll(bits));
     const std::uint32_t b = static_cast<std::uint32_t>(k) * kSlots + slot;
     if (k == 0 && overflow_head_ == kNil) {
+      if (entries_[head_[b]].next == kNil) return head_[b];  // lone entry
       // Level-0 bucket with no overflow competition: snapshot the whole
       // bucket as a sorted run so the next |bucket| pops are O(1) each
       // instead of each rescanning the list.  One level-0 bucket holds
@@ -256,18 +259,19 @@ TimingWheel::Fired TimingWheel::pop() {
   ensure(live_ > 0, "pop on empty timing wheel");
   if (min_idx_ == kNil) min_idx_ = scan_min();
   const std::uint32_t idx = min_idx_;
-  // Cascade up to the fired deadline first; entry indices are stable
-  // under cascading, only bucket membership moves.  (When the minimum
-  // sits at level 0 no block boundary is crossed, so an active run is
-  // never perturbed by this.)
-  advance_to(entries_[idx].time);
   Entry& e = entries_[idx];
-  Fired fired{e.time, make_id(idx, e.gen), std::move(actions_[idx])};
   const bool was_run_head =
       run_bucket_ != kNil && run_pos_ < run_.size() && run_[run_pos_] == idx;
   run_skip_unlink_ = was_run_head;
   unlink(idx);
   run_skip_unlink_ = false;
+  // Unlinked first, so cascading up to the fired deadline does not
+  // re-place the entry that is leaving; entry indices are stable under
+  // cascading, only bucket membership moves.  (When the minimum sat at
+  // level 0 no block boundary is crossed, so an active run is never
+  // perturbed by this.)
+  advance_to(e.time);
+  Fired fired{e.time, make_id(idx, e.gen), std::move(actions_[idx])};
   release(idx);
   --live_;
   metrics_.fired.inc();

@@ -1,7 +1,9 @@
-// Hierarchical timing wheel: the timer substrate behind sim::Timer and
-// sim::PeriodicTimer (docs/PERFORMANCE.md).
+// Hierarchical timing wheel: the simulator's one pending-event set.  It
+// holds every event — one-shot packet arrivals and app callbacks, and
+// the timers behind sim::Timer and sim::PeriodicTimer
+// (docs/PERFORMANCE.md).
 //
-// A binary heap makes every timer arm/cancel O(log n) in the number of
+// A binary heap makes every arm/cancel O(log n) in the number of
 // pending events; at 10,000 flows the RTO-rearm-per-segment pattern puts
 // tens of thousands of live timers in that heap and the log factor (and
 // its cache misses) dominates.  The classic fix — the Linux kernel's
@@ -13,13 +15,12 @@
 // wheel spans 2^58 ns (~9 simulated years); anything later (Time::max()
 // sentinels) goes to an overflow list that find-min also consults.
 //
-// Unlike kernel wheels this one must preserve EXACT event-queue
+// Unlike kernel wheels this one must preserve EXACT priority-queue
 // semantics — trace digests depend on it:
 //  - Entries keep their exact Time and a caller-supplied insertion
 //    sequence number; ties at equal deadlines fire in sequence order.
 //    pop() always extracts the strict (time, seq) minimum, so firing
-//    order is bit-identical to EventQueue's heap order (the Simulator
-//    draws both queues' sequence numbers from one shared counter).
+//    order is exactly that of a (time, seq)-ordered priority queue.
 //  - A tick bucket is therefore a set, not a FIFO.  find-min scans the
 //    first non-empty bucket (per-level occupancy bitmaps make the scan
 //    a ctz plus one short list walk); when that bucket is a level-0
@@ -37,10 +38,10 @@
 // Callbacks are SmallFn<48>, stored in a parallel array so the hot
 // Entry (time/seq/links, 32 bytes) packs two-per-cache-line for the
 // scan; entries are generation-stamped slots in a free-listed vector
-// (same handle discipline as EventQueue) and buckets are intrusive
-// doubly-linked lists of slot indices: in steady state restart()/stop()
-// churn performs zero allocations — the `slot_allocs == max_live`
-// stats identity is asserted by tests.
+// (a stale handle never matches a later entry in the same slot) and
+// buckets are intrusive doubly-linked lists of slot indices: in steady
+// state restart()/stop() churn performs zero allocations — the
+// `slot_allocs == max_live` stats identity is asserted by tests.
 #pragma once
 
 #include <array>
@@ -74,7 +75,8 @@ class TimingWheel {
   TimerId schedule(Time at, std::uint64_t seq, Action action);
 
   /// O(1): unlinks the entry from its bucket.  Cancelling a fired,
-  /// cancelled or stale id is a no-op, as with EventQueue::cancel.
+  /// cancelled or stale id is a no-op (timers race with the events they
+  /// guard; that is normal).
   void cancel(TimerId id);
 
   /// Moves a live entry to a new deadline in place, keeping its action
@@ -89,8 +91,7 @@ class TimingWheel {
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
 
-  /// (time, seq) of the earliest live entry; the simulator merges this
-  /// with EventQueue's head to pick the globally next event.
+  /// (time, seq) of the earliest live entry: the simulator's next event.
   struct Key {
     Time time;
     std::uint64_t seq;
@@ -162,6 +163,10 @@ class TimingWheel {
   static std::uint64_t tick_of(Time t) {
     return static_cast<std::uint64_t>(t.ns()) >> kTickShiftNs;
   }
+
+  /// Highest level whose block index differs between ticks `a` and `b`
+  /// (0 when they share a level-1 block; may exceed kLevels - 1).
+  static int top_changed_level(std::uint64_t a, std::uint64_t b);
 
   /// Level whose bucket holds `tick` relative to the cursor: the lowest
   /// level at which the tick still shares the NEXT level's block with

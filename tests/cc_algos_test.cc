@@ -11,7 +11,6 @@
 
 #include "cc/registry.h"
 #include "exp/world.h"
-#include "net/loss.h"
 #include "tcp/sender.h"
 #include "traffic/bulk.h"
 
@@ -76,54 +75,6 @@ class ModuleHarness {
   std::unique_ptr<tcp::TcpSender> snd;
   std::vector<std::pair<StreamOffset, ByteCount>> sent;
 };
-
-// ------------------------------------------------------ transfer smoke
-
-class ModernModuleTransferTest
-    : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ModernModuleTransferTest, CompletesOnCleanLink) {
-  net::DumbbellConfig cfg;
-  cfg.pairs = 1;
-  cfg.bottleneck_queue = 15;
-  exp::DumbbellWorld world(cfg, tcp::TcpConfig{}, 5);
-  traffic::BulkTransfer::Config bt;
-  bt.bytes = 300_KB;
-  bt.port = 5001;
-  bt.cc = find(GetParam());
-  traffic::BulkTransfer t(world.left(0), world.right(0), bt);
-  world.sim().run_until(sim::Time::seconds(300));
-  ASSERT_TRUE(t.done()) << GetParam();
-  EXPECT_EQ(t.result().bytes_delivered, 300_KB);
-  EXPECT_GT(t.throughput_kBps(), 10.0);
-}
-
-TEST_P(ModernModuleTransferTest, CompletesUnderLoss) {
-  net::DumbbellConfig cfg;
-  cfg.pairs = 1;
-  cfg.bottleneck_queue = 15;
-  exp::DumbbellWorld world(cfg, tcp::TcpConfig{}, 6);
-  world.topo().bottleneck_fwd->set_loss_model(
-      std::make_unique<net::BernoulliLoss>(0.05, 31));
-  traffic::BulkTransfer::Config bt;
-  bt.bytes = 150_KB;
-  bt.port = 5001;
-  bt.cc = find(GetParam());
-  traffic::BulkTransfer t(world.left(0), world.right(0), bt);
-  world.sim().run_until(sim::Time::seconds(600));
-  ASSERT_TRUE(t.done()) << GetParam();
-  EXPECT_EQ(t.result().bytes_delivered, 150_KB);
-}
-
-INSTANTIATE_TEST_SUITE_P(ModernZoo, ModernModuleTransferTest,
-                         ::testing::Values("cubic", "yeah", "relentless",
-                                           "new-aimd"),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           n.erase(std::remove(n.begin(), n.end(), '-'),
-                                   n.end());
-                           return n;
-                         });
 
 // ----------------------------------------------------------- New-AIMD
 

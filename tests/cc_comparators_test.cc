@@ -1,7 +1,9 @@
-// Sanity tests for the §3.2 comparator schemes: DUAL, CARD, Tri-S.
+// Sanity tests for the §3.2 comparator schemes (DUAL, CARD, Tri-S), and
+// a transfer smoke over every registered congestion-control module.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cc/registry.h"
 #include "exp/world.h"
@@ -31,9 +33,17 @@ TEST(FactoryTest, VegasFactoryAppliesThresholds) {
   EXPECT_DOUBLE_EQ(cfg.vegas_beta, 3.0);
 }
 
-/// The parameter is the registry name of the module under test.
+/// Transfer smoke over every registered module (cc::modules(): the
+/// §3.2 comparators, Reno, Vegas and the modern zoo).  The parameter is
+/// the registry name of the module under test.
 class ComparatorTransferTest
     : public ::testing::TestWithParam<const char*> {};
+
+std::vector<const char*> module_names() {
+  std::vector<const char*> names;
+  for (const tcp::CongOps* m : modules()) names.push_back(m->name);
+  return names;
+}
 
 TEST_P(ComparatorTransferTest, CompletesOnCleanLink) {
   net::DumbbellConfig cfg;
@@ -69,8 +79,7 @@ TEST_P(ComparatorTransferTest, CompletesUnderLoss) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllComparators, ComparatorTransferTest,
-                         ::testing::Values("dual", "card", "tris", "tahoe",
-                                           "newreno"),
+                         ::testing::ValuesIn(module_names()),
                          [](const auto& info) {
                            std::string n = find(info.param)->label;
                            n.erase(std::remove(n.begin(), n.end(), '-'),

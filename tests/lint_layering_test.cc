@@ -40,14 +40,14 @@ TEST(LayeringTest, LegalEdgesProduceNoFindings) {
 
 TEST(LayeringTest, IllegalEdgeReportedWithFileAndLine) {
   const std::vector<SourceFile> files = {
-      {"src/sim/event_queue.h",
+      {"src/sim/timer.h",
        "#pragma once\n#include \"tcp/stack.h\"\n"},  // sim must not see tcp
       {"src/tcp/stack.h", "#pragma once\n"},
   };
   const LayeringResult r = check_layering(files);
   const auto illegal = of_rule(r, "layering");
   ASSERT_EQ(illegal.size(), 1u);
-  EXPECT_EQ(illegal[0].file, "src/sim/event_queue.h");
+  EXPECT_EQ(illegal[0].file, "src/sim/timer.h");
   EXPECT_EQ(illegal[0].line, 2);
   EXPECT_NE(illegal[0].detail.find("'sim' may not depend on 'tcp'"),
             std::string::npos)

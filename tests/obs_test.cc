@@ -332,7 +332,7 @@ trace = true
     return false;
   };
   EXPECT_TRUE(has("sim.events_executed"));
-  EXPECT_TRUE(has("sim.event_queue.fired"));
+  EXPECT_TRUE(has("sim.timing_wheel.fired"));
   EXPECT_TRUE(has("sim.timing_wheel.scheduled"));
   EXPECT_TRUE(has("link.bottleneck.queue_packets"));
   EXPECT_TRUE(has("link.bottleneck.bytes_delivered"));

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Smoke checks of `vegas-sim run`, one ctest case per mode.
+"""Smoke checks of `vegas-sim run` and `vegas-sim sweep`, one ctest case
+per mode.
 
     scenario_smoke.py threads   VEGAS_SIM SCENARIO
     scenario_smoke.py malformed VEGAS_SIM
     scenario_smoke.py metrics   VEGAS_SIM SCENARIO VALIDATE_METRICS
+    scenario_smoke.py sweep     VEGAS_SIM SCENARIO
 
 threads: --threads 1 and --threads 4 give equal JSON once the top-level
 `workers` block (per-worker cell counts, wall-clock busy times) is set
@@ -12,8 +14,13 @@ malformed: an unknown key exits 2 with a file:line:col diagnostic.
 metrics: --metrics output passes VALIDATE_METRICS, digests equal the
 plain run's, and the chrome trace holds the setup/run/collect spans.  Its
 outputs stay in the working directory.
+sweep (docs/SWEEPS.md), on the 12-cell table1 grid in a temporary store: a
+re-run is all cache hits with byte-equal --json; `sweep status` reads
+12/12; --max-cells 3 exits 3 and a two-worker resume gives the fresh
+run's bytes; a salted recompute in the same store diffs as identical.
 """
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -79,11 +86,52 @@ def check_metrics(vegas_sim, scn, validator):
           f"{len(trace['traceEvents'])} trace events")
 
 
+def check_sweep(vegas_sim, scn):
+    env = {k: v for k, v in os.environ.items() if k != "VEGAS_SWEEP_SALT"}
+
+    def sweep(*args, salt=None, check=True):
+        run_env = env if salt is None else dict(env, VEGAS_SWEEP_SALT=salt)
+        return subprocess.run([vegas_sim, "sweep", *args], env=run_env,
+                              check=check, capture_output=True, text=True)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ["--store", f"{tmp}/store"]
+        fresh = sweep("run", scn, *store, "--json").stdout
+        rerun = sweep("run", scn, *store).stdout
+        assert "12 cache hits, 0 computed here" in rerun, rerun
+        assert sweep("run", scn, *store, "--json").stdout == fresh, \
+            "cached re-run --json differs from the fresh run"
+        status = sweep("status", *store).stdout
+        assert "12/12 done" in status, status
+
+        # --max-cells stops after 3 simulations with exit 3 ("sweep
+        # incomplete", resumable); the resume must give the same bytes.
+        partial = ["--store", f"{tmp}/partial"]
+        proc = sweep("run", scn, *partial, "--max-cells", "3", check=False)
+        assert proc.returncode == 3, f"exit {proc.returncode}: {proc.stderr}"
+        resumed = sweep("run", scn, *partial, "--workers", "2", "--json").stdout
+        assert resumed == fresh, "resumed sweep differs from the fresh run"
+
+        # A salt recomputes every cell under fresh keys in the same store;
+        # diff matches the two grids by (cell, label): no changes.
+        sweep("run", scn, *store, salt="smoke-salted")
+        text = sweep("diff", scn, *store).stdout
+        assert "identical" in text.splitlines(), text
+        d = json.loads(sweep("diff", scn, *store, "--json").stdout)
+        assert d["matched"] == 12, d
+        assert d["only_a"] == 0 and d["only_b"] == 0, d
+        assert d["digest_changes"] == 0 and d["metric_changes"] == 0, d
+        assert d["grid_a"] != d["grid_b"], "salt did not change the grid key"
+    print("sweep smoke OK: cached re-run, status, --max-cells resume and "
+          "salted diff")
+
+
 def main():
     mode, args = sys.argv[1], sys.argv[2:]
     {"threads": check_threads,
      "malformed": check_malformed,
-     "metrics": check_metrics}[mode](*args)
+     "metrics": check_metrics,
+     "sweep": check_sweep}[mode](*args)
 
 
 if __name__ == "__main__":

@@ -80,8 +80,10 @@ TEST(SimulatorTest, StopAbortsRun) {
 TEST(SimulatorTest, CancelScheduledEvent) {
   Simulator sim;
   bool fired = false;
-  const EventId id = sim.schedule(1_ms, [&] { fired = true; });
-  sim.cancel(id);
+  const TimerId id = sim.schedule(1_ms, [&] { fired = true; });
+  EXPECT_TRUE(sim.timer_pending(id));
+  sim.cancel_timer(id);
+  EXPECT_FALSE(sim.timer_pending(id));
   sim.run();
   EXPECT_FALSE(fired);
 }

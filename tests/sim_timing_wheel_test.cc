@@ -1,10 +1,9 @@
 // Timing-wheel tests (sim/timing_wheel.h).
 //
-// The wheel replaces heap-scheduled EventQueue entries for the timer
-// path, and its contract is EXACT equivalence: the (time, seq) pop
-// order must be bit-identical to EventQueue's, because every shipped
-// trace digest depends on event ordering.  The suite therefore leans on
-// differential tests against EventQueue driven by the same operation
+// The wheel is the simulator's one pending-event set, and its contract
+// is EXACT (time, seq) order: every shipped trace digest depends on
+// event ordering.  The suite therefore leans on a differential test
+// against an ordered-set reference model driven by the same operation
 // stream, plus the structural cases a wheel can get wrong and a heap
 // cannot: level cascades, beyond-horizon overflow, and the in-place
 // reschedule fast path.
@@ -14,10 +13,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "scenario/engine.h"
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
 
@@ -77,11 +77,13 @@ TEST(TimingWheelTest, EqualDeadlineTiesFireInSequenceOrder) {
 }
 
 // The core equivalence property: an identical stream of schedule /
-// cancel / pop operations with shared sequence numbers produces an
-// identical firing sequence on both structures.
-TEST(TimingWheelTest, DifferentialVsEventQueue) {
+// cancel / pop operations with shared sequence numbers produces the
+// firing sequence of a (time, seq)-ordered set.
+TEST(TimingWheelTest, DifferentialVsOrderedSet) {
   TimingWheel w;
-  EventQueue q;
+  // Reference model: (time, seq, op index) of every live entry.
+  using Ref = std::tuple<std::int64_t, std::uint64_t, std::size_t>;
+  std::set<Ref> ref;
   std::uint64_t seq = 0;
   std::uint64_t x = 42;  // deterministic LCG
   const auto next_rand = [&x] {
@@ -89,9 +91,9 @@ TEST(TimingWheelTest, DifferentialVsEventQueue) {
     return x >> 33;
   };
 
-  std::vector<std::pair<std::int64_t, std::uint64_t>> wheel_fired, heap_fired;
   std::vector<TimerId> wids;
-  std::vector<EventId> qids;
+  std::vector<Ref> refs;  // parallel to wids
+  std::uint64_t ref_cancelled = 0;
   Time floor = Time::zero();  // like the Simulator: never into the past
 
   for (int i = 0; i < 20000; ++i) {
@@ -101,30 +103,32 @@ TEST(TimingWheelTest, DifferentialVsEventQueue) {
       const Time at =
           floor + Time::microseconds(static_cast<std::int64_t>(r % 512) * 100);
       const std::uint64_t s = seq++;
+      const std::size_t op = wids.size();
       wids.push_back(w.schedule(at, s, [] {}));
-      qids.push_back(q.schedule(at, s, [] {}));
+      refs.emplace_back(at.ns(), s, op);
+      ref.insert(refs.back());
     } else if (r % 100 < 75 && !wids.empty()) {
       const std::size_t k = r % wids.size();
       w.cancel(wids[k]);
-      q.cancel(qids[k]);
+      ref_cancelled += ref.erase(refs[k]);
     } else if (!w.empty()) {
-      ASSERT_FALSE(q.empty());
+      ASSERT_FALSE(ref.empty());
       const auto wf = w.pop();
-      const auto qf = q.pop();
-      wheel_fired.emplace_back(wf.time.ns(), 0);
-      heap_fired.emplace_back(qf.time.ns(), 0);
-      ASSERT_EQ(wf.time, qf.time) << "diverged at op " << i;
+      const Ref head = *ref.begin();
+      ref.erase(ref.begin());
+      ASSERT_EQ(wf.time.ns(), std::get<0>(head)) << "diverged at op " << i;
+      ASSERT_EQ(wf.id, wids[std::get<2>(head)]) << "diverged at op " << i;
       if (wf.time > floor) floor = wf.time;
     }
   }
   while (!w.empty()) {
-    ASSERT_FALSE(q.empty());
-    EXPECT_EQ(w.pop().time, q.pop().time);
+    ASSERT_FALSE(ref.empty());
+    const auto wf = w.pop();
+    EXPECT_EQ(wf.id, wids[std::get<2>(*ref.begin())]);
+    ref.erase(ref.begin());
   }
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(wheel_fired, heap_fired);
-  EXPECT_EQ(w.metrics().fired, q.metrics().fired);
-  EXPECT_EQ(w.metrics().cancelled, q.metrics().cancelled);
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(w.metrics().cancelled, ref_cancelled);
 }
 
 TEST(TimingWheelTest, CancelPreventsFireAndIsIdempotent) {
@@ -138,6 +142,54 @@ TEST(TimingWheelTest, CancelPreventsFireAndIsIdempotent) {
   w.cancel(id);  // no-op
   w.cancel(kNoTimer);
   EXPECT_FALSE(fired);
+}
+
+TEST(TimingWheelTest, CancelMiddleKeepsOthers) {
+  TimingWheel w;
+  std::vector<int> order;
+  w.schedule(1_ms, 0, [&] { order.push_back(1); });
+  const TimerId id = w.schedule(2_ms, 1, [&] { order.push_back(2); });
+  w.schedule(3_ms, 2, [&] { order.push_back(3); });
+  w.cancel(id);
+  EXPECT_EQ(w.size(), 2u);
+  ASSERT_TRUE(w.next_key().has_value());
+  EXPECT_EQ(w.next_key()->time, 1_ms);
+  while (!w.empty()) w.pop().action();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(TimingWheelTest, OversizedActionIsBoxedAndStillFires) {
+  TimingWheel w;
+  struct Big {
+    char payload[96];
+  };
+  Big big{};
+  big.payload[0] = 7;
+  int got = 0;
+  w.schedule(1_ms, 0, [big, &got] { got = big.payload[0]; });
+  EXPECT_EQ(w.metrics().boxed_actions, 1u);
+  while (!w.empty()) w.pop().action();
+  EXPECT_EQ(got, 7);
+}
+
+TEST(TimingWheelTest, StatsAccountingBalances) {
+  TimingWheel w;
+  std::uint64_t x = 777;
+  std::uint64_t seq = 0;
+  std::vector<TimerId> ids;
+  Time floor = Time::zero();
+  for (int i = 0; i < 2000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    ids.push_back(w.schedule(
+        floor + Time::nanoseconds(static_cast<std::int64_t>(x % 1000)), seq++,
+        [] {}));
+    if (x % 3 == 0) w.cancel(ids[static_cast<std::size_t>(x % ids.size())]);
+    if (x % 5 == 0 && !w.empty()) floor = w.pop().time;
+  }
+  while (!w.empty()) w.pop().action();
+  const auto& st = w.metrics();
+  EXPECT_EQ(st.fired + st.cancelled, st.scheduled);
+  EXPECT_EQ(w.size(), 0u);
 }
 
 TEST(TimingWheelTest, StaleHandleAfterSlotReuseIsNoOp) {
@@ -231,10 +283,9 @@ TEST(TimingWheelTest, ChurnAt10kTimersReusesSlotsAndNeverBoxes) {
 // ------------------------------------------------ Simulator integration
 
 TEST(TimingWheelSimulatorTest, EventsAndTimersInterleaveInScheduleOrder) {
-  // Equal-deadline events split across the heap (schedule) and the
-  // wheel (Timer) must fire in global schedule order — the shared
-  // sequence counter is what makes the two-structure design
-  // trace-compatible with the old single queue.
+  // Equal-deadline one-shot events (schedule) and timers (Timer) must
+  // fire in global schedule order: both draw their sequence number from
+  // the lane's one counter.
   Simulator sim;
   std::vector<int> order;
   sim.schedule(1_ms, [&] { order.push_back(0); });
@@ -286,6 +337,7 @@ TEST(TimingWheelSimulatorTest, PeriodicTimerTicksAtExactIntervals) {
 }
 
 TEST(TimingWheelSimulatorTest, EventsPendingCountsBothStructures) {
+  // A one-shot event and a timer both count as pending.
   Simulator sim;
   sim.schedule(1_ms, [] {});
   Timer t(sim, [] {});
@@ -297,9 +349,8 @@ TEST(TimingWheelSimulatorTest, EventsPendingCountsBothStructures) {
 
 // ------------------------------------ pre-wheel trace-digest anchors
 
-// Digests recorded at the PR-3 HEAD, where every timer was a heap-
-// scheduled EventQueue entry and demux went through std::map — i.e.
-// BEFORE the timing wheel existed.  The wheel run must reproduce them
+// Digests recorded BEFORE the timing wheel existed, when every timer was
+// an entry in a binary heap of events and demux went through std::map.  The wheel run must reproduce them
 // bit-for-bit: any deviation in equal-deadline ordering or cascade
 // timing shows up here first.
 TEST(TimingWheelDigestTest, ShippedScenariosMatchPreWheelDigests) {

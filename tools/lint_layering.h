@@ -96,7 +96,7 @@ inline const std::map<std::string, std::set<std::string>>& allowed_deps() {
   return kAllowed;
 }
 
-/// "src/sim/event_queue.h" -> "sim/event_queue.h"; unchanged if the
+/// "src/sim/timer.h" -> "sim/timer.h"; unchanged if the
 /// path does not start with src/.
 inline std::string include_form(std::string_view path) {
   constexpr std::string_view kPrefix = "src/";
